@@ -8,7 +8,7 @@ Usage::
     python benchmarks/compare_bench.py --check-scaling BENCH_driver.json
                                        [--min-ratio 1.0]
     python benchmarks/compare_bench.py --check-incremental BENCH_incremental.json
-                                       [--min-speedup 10.0]
+    python benchmarks/compare_bench.py --check-cold BENCH_driver.json
 
 **Diff mode** (two positional snapshots): scenarios are matched by name.  A
 scenario regresses when its timing key in NEW exceeds OLD by more than
@@ -24,9 +24,21 @@ overhead, so the floor relaxes to 0.85 — parallel may pay a few percent,
 never a collapse.  ``--min-ratio`` overrides the floor explicitly.
 
 **Incremental mode** (``--check-incremental``): reads one
-``BENCH_incremental.json`` snapshot and fails unless (a) each single-edit
-scenario re-ran exactly one analysis — the summary-digest firewall held —
-and (b) the recorded edit-vs-cold speedups clear the floor (default 10x).
+``BENCH_incremental.json`` snapshot and fails unless each single-edit
+scenario re-ran exactly one analysis (the summary-digest firewall held).
+It also prints each edit's time relative to the no-op rerun against the
+same store, with a warning above 2x.  That ceiling is advisory, not gated:
+an edit still does whole-program work (parsing, simulation), so single
+quarter-second samples read 1-2x and would fail at random.  The
+gate does not compare edits with the cold run either: a faster cold run
+must not fail it.
+
+**Cold mode** (``--check-cold``): reads one ``BENCH_driver.json`` snapshot
+and fails when the cold serial run took more than 15x the time of the warm
+serial run measured alongside it.  Both
+times come from the same run on the same host, so the ratio holds across
+machines of different speed; a cold run that re-analyses the whole program
+for every transform attempt reads about 50x.
 
 Exit status: 0 when no regression, 1 on regression, 2 on usage/parse
 errors.
@@ -46,10 +58,17 @@ SINGLE_CORE_FLOOR = 0.85
 #: the scaling ratio the CI gate judges
 SCALING_KEY = "parallel_4_vs_serial"
 
-#: floor for the single-edit-vs-cold speedup of the incremental engine
-MIN_EDIT_SPEEDUP = 10.0
+#: advisory ceiling on a single edit's time relative to the no-op rerun
+MAX_EDIT_VS_NOOP = 2.0
 #: the single-edit scenarios the incremental gate judges
 EDIT_SCENARIOS = ("edit_leaf", "edit_root")
+#: the incremental snapshot's no-op rerun the edits are judged against
+NOOP_SCENARIO = "warm_noop"
+
+#: ceiling on the cold serial run's time relative to the warm serial run
+MAX_COLD_VS_WARM = 15.0
+#: the driver snapshot's cold and warm scenarios the cold gate judges
+COLD_SCENARIO, WARM_SCENARIO = "cold_serial", "warm_serial"
 
 
 def load(path: str) -> dict:
@@ -96,41 +115,68 @@ def check_scaling(payload: dict, min_ratio: float | None) -> int:
     return 0
 
 
-def check_incremental(payload: dict, min_speedup: float | None) -> int:
-    floor = MIN_EDIT_SPEEDUP if min_speedup is None else min_speedup
-    speedup = payload.get("speedup")
-    if not speedup:
-        print("error: snapshot has no 'speedup' section", file=sys.stderr)
-        return 2
+def timed_scenarios(payload: dict, names) -> dict[str, dict] | None:
+    """The named scenarios, or ``None`` (after saying so) if one is untimed."""
     scenarios = scenarios_by_name(payload)
+    for name in names:
+        if scenarios.get(name, {}).get("elapsed_s") is None:
+            print(f"error: snapshot has no timed {name!r} scenario", file=sys.stderr)
+            return None
+    return scenarios
+
+
+def check_incremental(payload: dict) -> int:
+    scenarios = timed_scenarios(payload, (NOOP_SCENARIO, *EDIT_SCENARIOS))
+    if scenarios is None:
+        return 2
+    noop_s = scenarios[NOOP_SCENARIO]["elapsed_s"]
+    print(f"{NOOP_SCENARIO}: {noop_s:.3f}s   advisory ceiling: {MAX_EDIT_VS_NOOP:.1f}x")
     failures: list[str] = []
     for name in EDIT_SCENARIOS:
-        row = scenarios.get(name)
-        if row is None:
-            print(f"error: snapshot has no {name!r} scenario", file=sys.stderr)
-            return 2
+        row = scenarios[name]
         executed = row.get("analyses_executed")
-        ratio = speedup.get(f"{name}_vs_cold")
+        ratio = row["elapsed_s"] / noop_s if noop_s else float("inf")
         print(
             f"  {name:<12} {executed} analysis(es) re-run, "
-            f"{ratio:.1f}x vs cold" if ratio is not None else f"  {name}: no ratio"
+            f"{row['elapsed_s']:.3f}s = {ratio:.2f}x the no-op rerun"
         )
         if executed != 1:
             failures.append(
                 f"{name}: {executed} analyses re-ran after a single edit "
                 f"(the summary firewall did not hold)"
             )
-        if ratio is None or ratio < floor:
-            failures.append(
-                f"{name}: {ratio if ratio is not None else 'missing'}x "
-                f"vs cold is below the {floor:.1f}x floor"
+        if ratio > MAX_EDIT_VS_NOOP:
+            print(
+                f"  warning: {name} is above the advisory "
+                f"{MAX_EDIT_VS_NOOP:.1f}x ceiling (not gated)"
             )
     if failures:
         print(f"\nFAIL: {len(failures)} incremental gate violation(s):")
         for line in failures:
             print(f"  - {line}")
         return 1
-    print(f"\nOK: single-edit re-analysis holds the {floor:.1f}x floor")
+    print("\nOK: each single edit re-ran exactly one analysis")
+    return 0
+
+
+def check_cold(payload: dict) -> int:
+    scenarios = timed_scenarios(payload, (COLD_SCENARIO, WARM_SCENARIO))
+    if scenarios is None:
+        return 2
+    cold_s = scenarios[COLD_SCENARIO]["elapsed_s"]
+    warm_s = scenarios[WARM_SCENARIO]["elapsed_s"]
+    ratio = cold_s / warm_s if warm_s else float("inf")
+    print(
+        f"{COLD_SCENARIO}: {cold_s:.3f}s   {WARM_SCENARIO}: {warm_s:.3f}s   "
+        f"ratio: {ratio:.1f}x   ceiling: {MAX_COLD_VS_WARM:.1f}x"
+    )
+    if ratio > MAX_COLD_VS_WARM:
+        print(
+            f"\nFAIL: the cold serial run took {ratio:.1f}x the warm run, "
+            f"above the {MAX_COLD_VS_WARM:.1f}x ceiling"
+        )
+        return 1
+    print(f"\nOK: cold serial run within {MAX_COLD_VS_WARM:.1f}x of the warm run")
     return 0
 
 
@@ -163,16 +209,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--check-incremental",
         metavar="SNAPSHOT",
-        help="check the single-edit speedup of one incremental snapshot",
+        help="check that each single edit of one incremental snapshot re-ran one analysis",
     )
     parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=None,
-        help=(
-            "override the edit-vs-cold speedup floor (with "
-            f"--check-incremental; default {MIN_EDIT_SPEEDUP:.0f})"
-        ),
+        "--check-cold",
+        metavar="SNAPSHOT",
+        help="check the cold-vs-warm serial time ratio of one driver snapshot",
     )
     args = parser.parse_args(argv)
 
@@ -188,7 +230,12 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
             return 2
-        return check_incremental(load(args.check_incremental), args.min_speedup)
+        return check_incremental(load(args.check_incremental))
+    if args.check_cold:
+        if args.old or args.new:
+            print("error: --check-cold takes no OLD/NEW snapshots", file=sys.stderr)
+            return 2
+        return check_cold(load(args.check_cold))
     if not args.old or not args.new:
         print("error: diff mode needs OLD and NEW snapshots", file=sys.stderr)
         return 2

@@ -11,7 +11,6 @@ import copy
 
 import pytest
 
-from repro.lang.ast_nodes import Call, IntLit
 from repro.lang.interpreter import Interpreter, run_program
 from repro.machine import SEQUENT_LIKE, MachineSimulator
 from repro.nbody import (
@@ -23,19 +22,14 @@ from repro.nbody import (
     barnes_hut_toy_program,
     make_particles,
 )
-from repro.transform import strip_mine_loop
+from repro.transform import pass_processor_count, strip_mine_loop
 
 
 def _transformed_program(pes: int):
     program = barnes_hut_toy_program()
     result = strip_mine_loop(program, BHL1_FUNCTION)
     result = strip_mine_loop(result.program, BHL2_FUNCTION)
-    transformed = result.program
-    for func in transformed.functions:
-        for node in func.body.walk():
-            if isinstance(node, Call) and node.func in (BHL1_FUNCTION, BHL2_FUNCTION):
-                node.args.append(IntLit(pes))
-    return transformed
+    return pass_processor_count(result.program, (BHL1_FUNCTION, BHL2_FUNCTION), pes)
 
 
 def _heap_physics(interp):

@@ -132,3 +132,90 @@ def test_scaling_missing_section_exits_2(tmp_path):
 def test_scaling_mode_rejects_positional_snapshots(tmp_path):
     snap = _driver_snapshot(tmp_path / "b.json", ratio=1.0, host_cpus=1)
     assert compare_bench.main(["--check-scaling", snap, snap]) == 2
+
+
+# -- incremental mode ------------------------------------------------------------
+def _incremental_snapshot(
+    path: Path, noop_s: float, leaf_s: float, root_s: float, executed: int = 1
+) -> str:
+    payload = {
+        "schema": 1,
+        "scenarios": [
+            {"scenario": "cold", "elapsed_s": 1.0, "analyses_executed": 297},
+            {"scenario": "warm_noop", "elapsed_s": noop_s, "analyses_executed": 0},
+            {"scenario": "edit_leaf", "elapsed_s": leaf_s, "analyses_executed": executed},
+            {"scenario": "edit_root", "elapsed_s": root_s, "analyses_executed": 1},
+        ],
+    }
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def test_incremental_edits_within_the_noop_ceiling_pass(tmp_path, capsys):
+    # a fast cold run (here 1.0 s, only 3x an edit) must not fail the gate
+    snap = _incremental_snapshot(tmp_path / "i.json", noop_s=0.25, leaf_s=0.33, root_s=0.3)
+    assert compare_bench.main(["--check-incremental", snap]) == 0
+    assert "OK" in capsys.readouterr().out
+
+
+def test_incremental_slow_edit_warns_without_failing(tmp_path, capsys):
+    # the edit-vs-no-op ceiling is advisory: one timing sample is too noisy
+    snap = _incremental_snapshot(tmp_path / "i.json", noop_s=0.2, leaf_s=0.41, root_s=0.2)
+    assert compare_bench.main(["--check-incremental", snap]) == 0
+    assert "warning: edit_leaf" in capsys.readouterr().out
+
+
+def test_incremental_firewall_breach_fails(tmp_path, capsys):
+    snap = _incremental_snapshot(
+        tmp_path / "i.json", noop_s=0.2, leaf_s=0.2, root_s=0.2, executed=2
+    )
+    assert compare_bench.main(["--check-incremental", snap]) == 1
+    assert "firewall" in capsys.readouterr().out
+
+
+def test_incremental_missing_noop_exits_2(tmp_path):
+    path = tmp_path / "i.json"
+    path.write_text(json.dumps({"scenarios": [{"scenario": "edit_leaf"}]}))
+    assert compare_bench.main(["--check-incremental", str(path)]) == 2
+
+
+# -- cold mode -------------------------------------------------------------------
+def _cold_snapshot(path: Path, cold_s: float, warm_s: float) -> str:
+    payload = {
+        "schema": 2,
+        "scenarios": [
+            {"scenario": "cold_serial", "elapsed_s": cold_s},
+            {"scenario": "warm_serial", "elapsed_s": warm_s},
+            {"scenario": "cold_parallel_2", "elapsed_s": cold_s},
+        ],
+    }
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def test_cold_within_ceiling_passes(tmp_path, capsys):
+    snap = _cold_snapshot(tmp_path / "d.json", cold_s=2.1, warm_s=0.27)  # 7.8x
+    assert compare_bench.main(["--check-cold", snap]) == 0
+    assert "OK" in capsys.readouterr().out
+
+
+def test_cold_transform_reanalysis_fails(tmp_path, capsys):
+    snap = _cold_snapshot(tmp_path / "d.json", cold_s=12.1, warm_s=0.238)  # 51x
+    assert compare_bench.main(["--check-cold", snap]) == 1
+    assert "FAIL" in capsys.readouterr().out
+
+
+def test_cold_ratio_is_host_independent(tmp_path):
+    # the same work on a host three times slower reads the same ratio
+    fast = _cold_snapshot(tmp_path / "fast.json", cold_s=2.0, warm_s=0.25)
+    slow = _cold_snapshot(tmp_path / "slow.json", cold_s=6.0, warm_s=0.75)
+    assert compare_bench.main(["--check-cold", fast]) == 0
+    assert compare_bench.main(["--check-cold", slow]) == 0
+
+
+def test_cold_mode_needs_both_serial_scenarios(tmp_path):
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps({"scenarios": [{"scenario": "cold_serial", "elapsed_s": 1}]}))
+    assert compare_bench.main(["--check-cold", str(path)]) == 2
+    snap = _cold_snapshot(tmp_path / "b.json", cold_s=1.0, warm_s=0.1)
+    assert compare_bench.main(["--check-cold", snap, snap]) == 2

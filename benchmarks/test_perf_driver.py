@@ -22,7 +22,8 @@ Wall-clock numbers are recorded, not gated (CI machines vary); the snapshot
 records ``host_cpus`` so scaling ratios can be judged in context — on a
 single-core container the parallel scenarios measure pure overhead and land
 near 1.0x.  ``python benchmarks/compare_bench.py --check-scaling
-BENCH_driver.json`` gates on that ratio host-awarely.
+BENCH_driver.json`` gates on that ratio host-awarely, and ``--check-cold``
+on the cold-vs-warm serial ratio, which runner speed cancels out of.
 
 Set ``REPRO_FULL=1`` for the paper-sized corpus.
 """

@@ -20,8 +20,9 @@ set against the previous manifest is exactly one function.
 The edited program's report is checked bit-for-bit against a from-scratch
 (no cache) analysis of the edited source — incrementality must never
 change an answer.  ``python benchmarks/compare_bench.py
---check-incremental BENCH_incremental.json`` gates the recorded
-edit-vs-cold speedups (the quick corpus shows well over the 10x floor).
+--check-incremental BENCH_incremental.json`` gates the recorded edits on
+re-running exactly one analysis each, and reports their time relative to
+the no-op rerun.
 
 Set ``REPRO_FULL=1`` for the paper-sized corpus.
 """

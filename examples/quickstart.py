@@ -17,10 +17,9 @@ Run:  python examples/quickstart.py
 from repro.adds import declaration, derive_properties
 from repro.adds.library import merged_into
 from repro.lang import Interpreter, run_program, unparse
-from repro.lang.ast_nodes import Call, IntLit
 from repro.machine import SEQUENT_LIKE, MachineSimulator
 from repro.pathmatrix import analyze_loop_dependence
-from repro.transform import classify_loop, strip_mine_loop
+from repro.transform import classify_loop, pass_processor_count, strip_mine_loop
 
 
 PROGRAM = """
@@ -92,11 +91,7 @@ def main() -> None:
     print(unparse(result.program.function_named(result.iteration_procedure)))
 
     _, original = run_program(program)
-    transformed = result.program
-    for stmt in transformed.function_named("main").body.statements:
-        for node in stmt.walk():
-            if isinstance(node, Call) and node.func == "scale":
-                node.args.append(IntLit(4))  # run with 4 processors
+    transformed = pass_processor_count(result.program, ["scale"], 4)  # 4 processors
 
     interpreter = Interpreter(transformed)
     simulator = MachineSimulator(SEQUENT_LIKE.with_pes(4))

@@ -34,7 +34,7 @@ import re
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from repro.lang.ast_nodes import Call, IntLit, Program
+from repro.lang.ast_nodes import Program
 from repro.lang.errors import InterpreterLimitError, LangError
 from repro.lang.interpreter import Interpreter, run_program
 from repro.lang.parser import parse_program
@@ -42,7 +42,12 @@ from repro.machine import SEQUENT_LIKE, MachineSimulator
 from repro.pathmatrix.analysis import AnalysisError, PathMatrixAnalysis
 from repro.transform.dependence import classify_loop, find_while_loops
 from repro.transform.pipeline import software_pipeline_loop
-from repro.transform.stripmine import TransformError, strip_mine_function, strip_mine_loop
+from repro.transform.stripmine import (
+    TransformError,
+    pass_processor_count,
+    strip_mine_function,
+    strip_mine_loop,
+)
 from repro.transform.unroll import unroll_loop
 
 
@@ -223,15 +228,20 @@ def analyze_function_job(
 
 
 def _transform_applicability(program: Program, function: str, index: int) -> dict:
-    """Which of the three transformations apply to one parallelizable loop."""
+    """Which of the three transformations apply to one parallelizable loop.
+
+    The loops stage already found the loop parallelizable, with the run's
+    analysis and ADDS setting, so the transforms skip their own dependence
+    test: it would re-analyse the whole program to give the same verdict.
+    """
     outcomes: dict = {}
     attempts = {
-        "strip_mine": lambda: strip_mine_loop(program, function, loop_index=index),
-        "unroll": lambda: unroll_loop(
-            program, function, factor=4, loop_index=index, check_dependences=True
+        "strip_mine": lambda: strip_mine_loop(
+            program, function, loop_index=index, check_dependences=False
         ),
+        "unroll": lambda: unroll_loop(program, function, factor=4, loop_index=index),
         "software_pipeline": lambda: software_pipeline_loop(
-            program, function, loop_index=index
+            program, function, loop_index=index, check_dependences=False
         ),
     }
     for name, attempt in attempts.items():
@@ -338,11 +348,9 @@ def simulate_program(source: str, options: PipelineOptions) -> dict:
         return {"status": "no-parallel-loops", "entry": options.entry}
 
     # the strip-mined functions take the processor count as a new trailing
-    # argument: patch every call site in the transformed program
-    for func in transformed.functions:
-        for node in func.body.walk():
-            if isinstance(node, Call) and node.func in transformed_functions:
-                node.args.append(IntLit(options.pes))
+    # argument; the transformed program shares declarations with the cached
+    # parse, so the call sites are patched copy-on-write
+    transformed = pass_processor_count(transformed, transformed_functions, options.pes)
 
     try:
         _, original = run_program(

@@ -16,7 +16,10 @@ way to run it):
 
 Variant construction mirrors :func:`repro.driver.pipeline.simulate_program`:
 strip-mined functions gain a trailing processor-count argument, patched into
-every call site (and into the entry call when ``main`` itself was rewritten).
+every call site by :func:`~repro.transform.stripmine.pass_processor_count`
+(and into the entry call when ``main`` itself was rewritten).  The variants
+share untouched declarations with the reference program, so nothing here
+mutates a plan's program in place.
 A variant whose transforms all refuse simply isn't run — refusing is the
 transforms' way of being correct, and the dependence-analysis reasons for
 refusal are recorded in the plan.
@@ -24,14 +27,17 @@ refusal are recorded in the plan.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
-from repro.lang.ast_nodes import Call, IntLit, Program
+from repro.lang.ast_nodes import Program
 from repro.machine import SEQUENT_LIKE, MachineSimulator
 from repro.transform.dependence import find_while_loops
 from repro.transform.pipeline import software_pipeline_loop
-from repro.transform.stripmine import TransformError, strip_mine_function
+from repro.transform.stripmine import (
+    TransformError,
+    pass_processor_count,
+    strip_mine_function,
+)
 from repro.transform.unroll import unroll_loop
 
 REFERENCE = "reference"
@@ -71,10 +77,7 @@ def _strip_mined(program: Program, entry: str, pes: int) -> list[ExecutionPlan]:
         names.append(func.name)
     if not names:
         return []
-    for func in transformed.functions:
-        for node in func.body.walk():
-            if isinstance(node, Call) and node.func in names:
-                node.args.append(IntLit(pes))
+    transformed = pass_processor_count(transformed, names, pes)
     entry_args: tuple = (pes,) if entry in names else ()
     return [
         ExecutionPlan(
@@ -86,7 +89,7 @@ def _strip_mined(program: Program, entry: str, pes: int) -> list[ExecutionPlan]:
         ),
         ExecutionPlan(
             name="machine-sim",
-            program=copy.deepcopy(transformed),
+            program=transformed,
             entry_args=entry_args,
             machine_pes=pes,
             transformed=list(names),
@@ -131,9 +134,7 @@ def build_plans(
     """Every executor applicable to ``program``, the reference plan first."""
     plans = [ExecutionPlan(name=REFERENCE, program=program)]
     plans.extend(_strip_mined(program, entry, pes))
-    unrolled = _per_loop_variant(
-        program, "unroll", unroll_loop, factor=unroll_factor, check_dependences=False
-    )
+    unrolled = _per_loop_variant(program, "unroll", unroll_loop, factor=unroll_factor)
     if unrolled is not None:
         plans.append(unrolled)
     pipelined = _per_loop_variant(

@@ -10,7 +10,8 @@ plus the loop dependence test that gates them:
   iterations are independent, using the path-matrix alias oracle,
 * :mod:`repro.transform.stripmine` — the BHL1/BHL2 transformation: each
   parallel step processes ``PEs`` consecutive list nodes, relying on
-  speculative traversability to skip the NULL checks,
+  speculative traversability to skip the NULL checks
+  (:func:`pass_processor_count` supplies the processor count at call sites),
 * :mod:`repro.transform.unroll` — unrolls a traversal loop by a factor k,
 * :mod:`repro.transform.pipeline` — software-pipelines a traversal loop into
   a prologue / steady-state kernel / epilogue,
@@ -22,7 +23,12 @@ from repro.transform.dependence import (
     LoopClassification,
     classify_loop,
 )
-from repro.transform.stripmine import StripMineResult, strip_mine_loop, strip_mine_function
+from repro.transform.stripmine import (
+    StripMineResult,
+    pass_processor_count,
+    strip_mine_function,
+    strip_mine_loop,
+)
 from repro.transform.unroll import UnrollResult, unroll_loop
 from repro.transform.pipeline import PipelineResult, software_pipeline_loop
 from repro.transform.report import TransformationReport
@@ -34,6 +40,7 @@ __all__ = [
     "StripMineResult",
     "strip_mine_loop",
     "strip_mine_function",
+    "pass_processor_count",
     "UnrollResult",
     "unroll_loop",
     "PipelineResult",

@@ -51,6 +51,7 @@ from repro.transform.stripmine import (
     _check_traversal_shape,
     _find_traversal_update,
     _fresh_name,
+    copy_function,
 )
 
 
@@ -79,7 +80,13 @@ def software_pipeline_loop(
     loop_index: int = 0,
     check_dependences: bool = True,
 ) -> PipelineResult:
-    """Software-pipeline the ``loop_index``-th while loop of ``function_name``."""
+    """Software-pipeline the ``loop_index``-th while loop of ``function_name``.
+
+    The original AST is left untouched.  The result's program shares every
+    untouched ``FunctionDecl`` with ``program`` (only ``function_name`` is
+    copied), so callers must not mutate it in place; patch call sites with
+    :func:`~repro.transform.stripmine.pass_processor_count`.
+    """
     loops = find_while_loops(program, function_name)
     if loop_index >= len(loops):
         raise TransformError(f"loop index {loop_index} out of range")
@@ -92,10 +99,7 @@ def software_pipeline_loop(
                 "loop is not pipelineable: " + "; ".join(dependence.reasons)
             )
 
-    new_program = copy.deepcopy(program)
-    func = new_program.function_named(function_name)
-    assert func is not None
-    body_stmts = func.body.statements
+    new_program, func = copy_function(program, function_name)
     loop = [s for s in iter_statements(func.body) if isinstance(s, While)][loop_index]
 
     found = _find_traversal_update(loop.body)

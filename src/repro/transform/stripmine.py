@@ -35,7 +35,7 @@ transformed code contains no extra NULL checks inside the skip loops.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.lang.ast_nodes import (
     Assign,
@@ -65,6 +65,54 @@ from repro.transform.dependence import DependenceTest, LoopClassification, class
 
 class TransformError(Exception):
     """Raised when a requested transformation cannot be applied."""
+
+
+def _with_functions(program: Program, functions: list[FunctionDecl]) -> Program:
+    """A new program with ``program``'s declarations in lists of its own."""
+    return replace(program, types=list(program.types), functions=functions)
+
+
+def copy_function(program: Program, function_name: str) -> tuple[Program, FunctionDecl]:
+    """A new program whose ``function_name`` is a deep copy of the original.
+
+    Every other declaration is *shared* with ``program``: a transform
+    rewrites one function, so copying the rest would only cost time.  The
+    returned program owns its declaration lists, so appending to them leaves
+    ``program`` alone.
+    """
+    functions = list(program.functions)
+    for index, func in enumerate(functions):
+        if func.name == function_name:
+            functions[index] = copy.deepcopy(func)
+            return _with_functions(program, functions), functions[index]
+    raise KeyError(f"no function named {function_name!r}")
+
+
+def pass_processor_count(program: Program, callees, pes: int) -> Program:
+    """Append the processor count ``pes`` to every call of ``callees``.
+
+    Strip-mined functions take the processor count as a new trailing
+    argument.  Copy-on-write: only the functions holding such a call are
+    copied, so ``program`` (and every program it shares declarations with)
+    is left untouched.
+    """
+    callees = set(callees)
+
+    def calls_in(func: FunctionDecl) -> list[Call]:
+        return [
+            node
+            for node in func.body.walk()
+            if isinstance(node, Call) and node.func in callees
+        ]
+
+    functions = []
+    for func in program.functions:
+        if calls_in(func):
+            func = copy.deepcopy(func)
+            for call in calls_in(func):
+                call.args.append(IntLit(pes))
+        functions.append(func)
+    return _with_functions(program, functions)
 
 
 @dataclass
@@ -222,11 +270,14 @@ def strip_mine_loop(
 ) -> StripMineResult:
     """Strip-mine the ``loop_index``-th while loop of ``function_name``.
 
-    The transformation is applied to a **copy** of ``program``; the original
-    AST is left untouched.  With ``check_dependences=True`` (the default) the
-    loop is first classified with the path-matrix dependence test and the
-    transformation refuses to proceed unless the loop is a
-    ``DOALL_AFTER_TRAVERSAL``.
+    The original AST is left untouched.  The result's program shares every
+    untouched ``FunctionDecl`` with ``program`` (only ``function_name`` is
+    copied), so callers must not mutate it in place; patch call sites with
+    :func:`pass_processor_count`.
+
+    With ``check_dependences=True`` (the default) the loop is first
+    classified with the path-matrix dependence test and the transformation
+    refuses to proceed unless the loop is a ``DOALL_AFTER_TRAVERSAL``.
     """
     original_loops = find_while_loops(program, function_name)
     if loop_index >= len(original_loops):
@@ -245,9 +296,7 @@ def strip_mine_loop(
                 "loop is not parallelizable: " + "; ".join(dependence.reasons)
             )
 
-    new_program = copy.deepcopy(program)
-    func = new_program.function_named(function_name)
-    assert func is not None
+    new_program, func = copy_function(program, function_name)
     loops = [s for s in iter_statements(func.body) if isinstance(s, While)]
     loop = loops[loop_index]
 
@@ -370,7 +419,8 @@ def strip_mine_function(
     Loops are transformed in order; loops that fail the dependence test are
     left untouched (their reasons are recorded in the result's notes).
     Returns the result of the final successful transformation, whose program
-    contains all accumulated rewrites.
+    contains all accumulated rewrites and, like :func:`strip_mine_loop`'s,
+    shares every untouched ``FunctionDecl`` with ``program``.
     """
     current = program
     last_result: StripMineResult | None = None

@@ -39,8 +39,11 @@ from repro.lang.ast_nodes import (
     While,
     iter_statements,
 )
-from repro.transform.dependence import DependenceTest, classify_loop, find_while_loops
-from repro.transform.stripmine import TransformError, _find_traversal_update
+from repro.transform.dependence import find_while_loops
+# unused here since unrolling is never dependence-checked, but kept as a module
+# global: perfbench/layers.py traces ``repro.transform.unroll.classify_loop``
+from repro.transform.dependence import classify_loop  # noqa: F401
+from repro.transform.stripmine import TransformError, _find_traversal_update, copy_function
 
 
 @dataclass
@@ -52,7 +55,6 @@ class UnrollResult:
     factor: int
     traversal_var: str
     traversal_field: str
-    dependence: DependenceTest | None = None
     notes: list[str] = field(default_factory=list)
 
     def describe(self) -> str:
@@ -67,22 +69,23 @@ def unroll_loop(
     function_name: str,
     factor: int = 4,
     loop_index: int = 0,
-    check_dependences: bool = False,
 ) -> UnrollResult:
-    """Unroll the ``loop_index``-th while loop of ``function_name`` ``factor`` times."""
+    """Unroll the ``loop_index``-th while loop of ``function_name`` ``factor`` times.
+
+    The original AST is left untouched.  The result's program shares every
+    untouched ``FunctionDecl`` with ``program`` (only ``function_name`` is
+    copied), so callers must not mutate it in place; patch call sites with
+    :func:`~repro.transform.stripmine.pass_processor_count`.
+
+    Unrolling is legal for any loop, so it runs no dependence test.
+    """
     if factor < 2:
         raise TransformError("unroll factor must be at least 2")
     loops = find_while_loops(program, function_name)
     if loop_index >= len(loops):
         raise TransformError(f"loop index {loop_index} out of range")
 
-    dependence: DependenceTest | None = None
-    if check_dependences:
-        dependence = classify_loop(program, function_name, loops[loop_index])
-
-    new_program = copy.deepcopy(program)
-    func = new_program.function_named(function_name)
-    assert func is not None
+    new_program, func = copy_function(program, function_name)
     loop = [s for s in iter_statements(func.body) if isinstance(s, While)][loop_index]
 
     found = _find_traversal_update(loop.body)
@@ -116,7 +119,6 @@ def unroll_loop(
         factor=factor,
         traversal_var=traversal_var,
         traversal_field=traversal_field,
-        dependence=dependence,
         notes=[
             "copies 2..k are guarded by the loop's own condition because the "
             "trip count need not be a multiple of the unroll factor"

@@ -11,8 +11,11 @@ from repro.fuzz.harness import (
     load_regression,
     replay_regression,
 )
+from repro.fuzz.executors import REFERENCE, build_plans
+from repro.fuzz.generator import generate_program
 from repro.fuzz.shrink import shrink_source
 from repro.lang.parser import parse_program
+from repro.lang.pretty import unparse
 
 
 class TestRunSource:
@@ -30,6 +33,21 @@ class TestRunSource:
         case = run_seed(0)
         assert case.status == PASS, case.summary()
         assert case.executors["reference"] == "ok"
+
+
+class TestBuildPlans:
+    def test_reference_plan_is_not_mutated_by_the_variants(self):
+        # the variants share untouched functions with the reference program;
+        # patching their call sites must copy, never write through
+        variants = set()
+        for seed in range(12):
+            program = parse_program(generate_program(seed).source)
+            before = unparse(program)
+            plans = build_plans(program)
+            assert plans[0].name == REFERENCE
+            assert unparse(plans[0].program) == before, seed
+            variants.update(plan.name for plan in plans[1:])
+        assert "strip-mine" in variants
 
 
 class TestCampaign:

@@ -9,12 +9,11 @@ import pytest
 
 from repro.adds import check_heap_against_declaration, declaration, program_adds_types
 from repro.adds.wellformed import check_all
-from repro.lang.ast_nodes import Call, IntLit
 from repro.lang.interpreter import Interpreter, run_program
 from repro.machine import SEQUENT_LIKE, MachineSimulator
 from repro.nbody import BHL1_FUNCTION, BHL2_FUNCTION, barnes_hut_toy_program
 from repro.pathmatrix import PathMatrixAnalysis, analyze_loop_dependence
-from repro.transform import classify_loop, strip_mine_loop
+from repro.transform import classify_loop, pass_processor_count, strip_mine_loop
 
 
 class TestPolynomialPipeline:
@@ -30,12 +29,10 @@ class TestPolynomialPipeline:
 
         # 3. the transformation applies and preserves semantics
         result = strip_mine_loop(scale_program, "scale", pes_param="PEs")
-        for node in result.program.function_named("main").body.walk():
-            if isinstance(node, Call) and node.func == "scale":
-                node.args.append(IntLit(4))
+        transformed = pass_processor_count(result.program, ["scale"], 4)
         _, original = run_program(scale_program)
 
-        interp = Interpreter(result.program)
+        interp = Interpreter(transformed)
         executor = MachineSimulator(SEQUENT_LIKE.with_pes(4)).attach_to_interpreter(interp)
         interp.call_function("main")
         assert sorted(c.fields["coef"] for c in interp.heap) == sorted(
@@ -56,11 +53,7 @@ class TestBarnesHutPipeline:
         program = barnes_hut_toy_program()
         result = strip_mine_loop(program, BHL1_FUNCTION)
         result = strip_mine_loop(result.program, BHL2_FUNCTION)
-        for func in result.program.functions:
-            for node in func.body.walk():
-                if isinstance(node, Call) and node.func in (BHL1_FUNCTION, BHL2_FUNCTION):
-                    node.args.append(IntLit(4))
-        return result.program
+        return pass_processor_count(result.program, (BHL1_FUNCTION, BHL2_FUNCTION), 4)
 
     def test_analysis_gates_the_transformation(self):
         program = barnes_hut_toy_program()
@@ -96,11 +89,11 @@ class TestBarnesHutPipeline:
         result = strip_mine_loop(program, BHL1_FUNCTION)
         speedups = {}
         for pes in (2, 7):
-            transformed = strip_mine_loop(result.program, BHL2_FUNCTION).program
-            for func in transformed.functions:
-                for node in func.body.walk():
-                    if isinstance(node, Call) and node.func in (BHL1_FUNCTION, BHL2_FUNCTION):
-                        node.args.append(IntLit(pes))
+            transformed = pass_processor_count(
+                strip_mine_loop(result.program, BHL2_FUNCTION).program,
+                (BHL1_FUNCTION, BHL2_FUNCTION),
+                pes,
+            )
             interp = Interpreter(transformed)
             executor = MachineSimulator(SEQUENT_LIKE.with_pes(pes)).attach_to_interpreter(interp)
             interp.call_function("main")

@@ -8,7 +8,7 @@ the original when interpreted).
 import pytest
 
 from repro.adds.library import merged_into
-from repro.lang.ast_nodes import Call, For, If, IntLit, ParallelFor, While
+from repro.lang.ast_nodes import For, If, ParallelFor, While
 from repro.lang.interpreter import run_program
 from repro.lang.pretty import unparse
 from repro.nbody.toy_program import BHL1_FUNCTION, BHL2_FUNCTION, barnes_hut_toy_program
@@ -16,6 +16,7 @@ from repro.transform import (
     LoopClassification,
     TransformationReport,
     classify_loop,
+    pass_processor_count,
     software_pipeline_loop,
     strip_mine_loop,
     unroll_loop,
@@ -30,11 +31,9 @@ def coef_multiset(interpreter):
 
 
 def patch_call(program, callee: str, extra_arg: int):
-    """Append ``extra_arg`` to every call of ``callee`` (supplies the PEs count)."""
-    for func in program.functions:
-        for stmt in func.body.walk():
-            if isinstance(stmt, Call) and stmt.func == callee:
-                stmt.args.append(IntLit(extra_arg))
+    """``program`` with ``extra_arg`` appended to every call of ``callee``
+    (supplies the PEs count); ``program`` itself is left untouched."""
+    return pass_processor_count(program, [callee], extra_arg)
 
 
 class TestClassifyLoop:
@@ -79,8 +78,8 @@ class TestStripMining:
         _, original = run_program(scale_program)
         for pes in (1, 2, 3, 4, 7, 16):
             result = strip_mine_loop(scale_program, "scale", pes_param="PEs")
-            patch_call(result.program, "scale", pes)
-            _, transformed = run_program(result.program)
+            patched = patch_call(result.program, "scale", pes)
+            _, transformed = run_program(patched)
             assert coef_multiset(transformed) == coef_multiset(original), pes
 
     def test_refuses_unparallelizable_loop(self):
@@ -117,9 +116,9 @@ class TestStripMining:
         _, original = run_program(bh_program)
         result = strip_mine_loop(bh_program, BHL1_FUNCTION)
         result = strip_mine_loop(result.program, BHL2_FUNCTION)
-        patch_call(result.program, BHL1_FUNCTION, 4)
-        patch_call(result.program, BHL2_FUNCTION, 4)
-        _, transformed = run_program(result.program)
+        patched = patch_call(result.program, BHL1_FUNCTION, 4)
+        patched = patch_call(patched, BHL2_FUNCTION, 4)
+        _, transformed = run_program(patched)
         orig_state = sorted(
             (round(c.fields.get("x", 0.0), 9), round(c.fields.get("force", 0.0), 9))
             for c in original.heap
@@ -214,6 +213,49 @@ class TestSoftwarePipelining:
         program = merged_into(source, "ListNode")
         with pytest.raises(TransformError):
             software_pipeline_loop(program, "sum_into")
+
+
+class TestCopyOnWrite:
+    """The transforms copy only the function they rewrite and share the
+    rest with their input, so nothing downstream may patch in place."""
+
+    TRANSFORMS = {
+        "strip_mine": strip_mine_loop,
+        "unroll": unroll_loop,
+        "software_pipeline": software_pipeline_loop,
+    }
+
+    @pytest.mark.parametrize("name", sorted(TRANSFORMS))
+    def test_input_program_is_untouched(self, scale_program, name):
+        before = unparse(scale_program)
+        self.TRANSFORMS[name](scale_program, "scale")
+        assert unparse(scale_program) == before
+
+    @pytest.mark.parametrize("name", sorted(TRANSFORMS))
+    def test_only_the_target_function_is_copied(self, scale_program, name):
+        result = self.TRANSFORMS[name](scale_program, "scale")
+        for func in scale_program.functions:
+            shared = result.program.function_named(func.name) is func
+            assert shared == (func.name != "scale"), func.name
+        assert result.program.functions is not scale_program.functions
+
+    def test_pass_processor_count_patches_a_copy(self, scale_program):
+        before = unparse(scale_program)
+        result = strip_mine_loop(scale_program, "scale")
+        patched = pass_processor_count(result.program, ["scale"], 4)
+        assert unparse(scale_program) == before
+        assert "scale(h, 3, 4)" in unparse(patched.function_named("main"))
+        assert "scale(h, 3)" in unparse(result.program.function_named("main"))
+        # functions without a patched call stay shared
+        assert patched.function_named("build") is scale_program.function_named("build")
+
+    def test_repeated_patching_does_not_accumulate(self, scale_program):
+        # the pattern that broke in-place patching: one transform result,
+        # patched for several processor counts in turn
+        result = strip_mine_loop(scale_program, "scale")
+        for pes in (2, 3):
+            patched = pass_processor_count(result.program, ["scale"], pes)
+            assert f"scale(h, 3, {pes});" in unparse(patched.function_named("main"))
 
 
 class TestTransformationReport:
