@@ -382,7 +382,6 @@ class BatchDriver:
 
         if self.simulate:
             plan.sim_key = program_digest(item.source, self.options.key())
-            self.cache.preload([plan.sim_key], stage="sim")
             cached = self.cache.get(plan.sim_key, stage="sim")
             if cached is not None:
                 plan.report.simulation = cached

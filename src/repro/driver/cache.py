@@ -1,7 +1,7 @@
 """On-disk, content-addressed artifact store for the staged analysis engine.
 
-Each pipeline stage (typecheck verdict, function summary, fixpoint/validation
-report, loop classes, transform applicability, assembled report, simulation,
+Each stage a later run reads (SCC summaries, the fixpoint/validation verdict
+with its loop classes, the assembled report, the simulation, the per-program
 manifest) stores its output as a separately addressed artifact under a
 per-stage subdirectory: ``<dir>/<stage>/<digest>.json``.  A stage's digest
 covers everything that can influence its output: the cache version, the
@@ -43,20 +43,13 @@ from repro.driver.faults import active_plan
 #: bump when the per-function report schema or analysis semantics change
 #: (2: parallel-for gained the sequential for's step/descending/re-read
 #: semantics, so cached simulation reports from version 1 may be stale)
-CACHE_VERSION = 6  # v6: staged artifact store + line-relative payloads
+CACHE_VERSION = 7  # v7: loops folded into analysis; no parse/typecheck/transforms
 
 #: stage namespaces of the artifact store, one subdirectory each
-STAGES = (
-    "parse",
-    "typecheck",
-    "summary",
-    "analysis",
-    "loops",
-    "transforms",
-    "report",
-    "sim",
-    "manifest",
-)
+STAGES = ("summary", "analysis", "report", "sim", "manifest")
+
+#: the one store subdirectory that holds no checksummed artifacts
+QUARANTINE_DIR = "quarantine"
 
 #: name of the (unchecksummed) per-run counter ledger at the store top level
 LEDGER_NAME = "last-run.json"
@@ -124,14 +117,10 @@ def payload_digest(payload: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-# retained name: the checksum and the artifact digest are the same hash
-_payload_checksum = payload_digest
-
-
 def encode_entry(payload: dict) -> str:
     """Wrap ``payload`` with its checksum for on-disk storage."""
     return json.dumps(
-        {"sha256": _payload_checksum(payload), "payload": payload},
+        {"sha256": payload_digest(payload), "payload": payload},
         indent=1,
         sort_keys=True,
     )
@@ -146,7 +135,7 @@ def decode_entry(text: str) -> dict:
         raise CorruptEntryError(f"not valid JSON ({exc})") from None
     if not isinstance(wrapper, dict) or set(wrapper) != {"payload", "sha256"}:
         raise CorruptEntryError("missing checksum wrapper")
-    if _payload_checksum(wrapper["payload"]) != wrapper["sha256"]:
+    if payload_digest(wrapper["payload"]) != wrapper["sha256"]:
         raise CorruptEntryError("checksum mismatch")
     return wrapper["payload"]
 
@@ -289,15 +278,17 @@ class ResultCache:
         self._counters(stage)["writes"] += 1
 
     # -- maintenance ---------------------------------------------------------
-    def _stage_dirs(self):
-        """Existing stage subdirectories (quarantine/ and the ledger are not
-        checksummed artifacts and must not be audited as such)."""
-        if self.directory is None:
+    def stage_dirs(self):
+        """Existing stage subdirectories, as ``(stage, path)`` pairs.
+
+        Every subdirectory but ``quarantine/`` counts, so stages an older
+        store version wrote are audited, counted and cleared too.
+        """
+        if self.directory is None or not self.directory.is_dir():
             return
-        for stage in STAGES:
-            stage_dir = self.directory / stage
-            if stage_dir.is_dir():
-                yield stage, stage_dir
+        for stage_dir in sorted(self.directory.iterdir()):
+            if stage_dir.is_dir() and stage_dir.name != QUARANTINE_DIR:
+                yield stage_dir.name, stage_dir
 
     def verify(self, evict: bool = False) -> dict:
         """Audit every artifact on disk against its checksum.
@@ -307,7 +298,7 @@ class ResultCache:
         counted in :attr:`evictions`) so the next run recomputes them.
         """
         report: dict = {"checked": 0, "ok": 0, "corrupt": [], "evicted": 0}
-        for stage, stage_dir in self._stage_dirs():
+        for stage, stage_dir in self.stage_dirs():
             for path in sorted(stage_dir.glob("*.json")):
                 report["checked"] += 1
                 try:
@@ -331,7 +322,7 @@ class ResultCache:
         if self.directory is None or not self.directory.exists():
             return 0
         removed = 0
-        for _, stage_dir in self._stage_dirs():
+        for stage, stage_dir in self.stage_dirs():
             for path in stage_dir.glob("*.json"):
                 path.unlink(missing_ok=True)
                 removed += 1
@@ -339,6 +330,11 @@ class ResultCache:
             # later run never reuses them)
             for tmp in stage_dir.glob("*.tmp"):
                 tmp.unlink(missing_ok=True)
+            if stage not in STAGES:
+                try:
+                    stage_dir.rmdir()  # a retired stage, now empty
+                except OSError:
+                    pass
         # pre-v6 flat entries and the counter ledger live at the top level
         for path in self.directory.glob("*.json"):
             path.unlink(missing_ok=True)
@@ -351,7 +347,7 @@ class ResultCache:
     def entry_count(self, stage: str | None = None) -> int:
         """Artifacts on disk, in one ``stage`` or across all stages."""
         total = 0
-        for name, stage_dir in self._stage_dirs():
+        for name, stage_dir in self.stage_dirs():
             if stage is not None and name != stage:
                 continue
             total += sum(1 for _ in stage_dir.glob("*.json"))
@@ -360,7 +356,7 @@ class ResultCache:
     def disk_usage(self, stage: str | None = None) -> int:
         """Bytes on disk, in one ``stage`` or across all stages."""
         total = 0
-        for name, stage_dir in self._stage_dirs():
+        for name, stage_dir in self.stage_dirs():
             if stage is not None and name != stage:
                 continue
             for path in stage_dir.glob("*.json"):
@@ -413,7 +409,3 @@ class ResultCache:
                 for stage, counters in sorted(self.stage_counters.items())
             },
         }
-
-
-#: the staged engine's preferred name for the same store
-ArtifactStore = ResultCache

@@ -47,6 +47,7 @@ from repro.driver.batch import (
     BatchExecutionError,
     BatchReport,
 )
+from repro.driver.cache import QUARANTINE_DIR
 from repro.driver.corpus import CORPORA, corpus_named, load_source_file
 from repro.driver.executor import WorkerPoolError, default_jobs
 from repro.driver.faults import FAULTS_ENV_VAR, FaultSpecError, parse_fault_spec
@@ -247,7 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     quarantine.add_argument(
         "--dir",
-        default=str(Path(DEFAULT_CACHE_DIR) / "quarantine"),
+        default=str(Path(DEFAULT_CACHE_DIR) / QUARANTINE_DIR),
         help="quarantine record directory (default <cache-dir>/quarantine)",
     )
     quarantine.add_argument(
@@ -399,7 +400,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     cache_dir = None if args.no_cache else args.cache_dir
     quarantine_dir = args.quarantine_dir
     if quarantine_dir is None and cache_dir is not None:
-        quarantine_dir = str(Path(cache_dir) / "quarantine")
+        quarantine_dir = str(Path(cache_dir) / QUARANTINE_DIR)
 
     options = PipelineOptions(
         solver=args.solver,
@@ -546,12 +547,10 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 
 def _cache_stats(cache, cache_dir: str) -> int:
-    from repro.driver.cache import STAGES
-
     total_count = 0
     total_bytes = 0
     rows = []
-    for stage in STAGES:
+    for stage, _ in cache.stage_dirs():
         count = cache.entry_count(stage)
         size = cache.disk_usage(stage)
         total_count += count

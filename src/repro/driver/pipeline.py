@@ -4,8 +4,8 @@ Three layers:
 
 * the **stage functions** (:func:`analysis_payload`, :func:`loops_payload`,
   :func:`transforms_payload`, :func:`assemble_report`) — each computes one
-  separately cacheable artifact of the staged engine (fixpoint/validation
-  verdict, loop classes, transform applicability) with explicit inputs and
+  step of the staged engine (fixpoint/validation verdict, loop classes,
+  transform applicability, the assembled report) with explicit inputs and
   outputs;
 * :func:`analyze_function_job` — the unit of parallel fan-out: parse →
   typecheck → path-matrix fixpoint → ADDS validation → loop classification →
@@ -133,8 +133,8 @@ def loops_payload(
 ) -> tuple[list[dict], list[int]]:
     """The loop-classification stage.
 
-    Returns the per-loop entries (without transform outcomes — those are the
-    next stage's artifact) and the indices of the parallelizable loops the
+    Returns the per-loop entries (without transform outcomes — the next
+    stage computes those) and the indices of the parallelizable loops the
     transform stage should attempt.
     """
     entries: list[dict] = []
@@ -163,8 +163,9 @@ def transforms_payload(
 ) -> dict:
     """The transform-applicability stage, for the given parallelizable loops.
 
-    Keyed by the loop index as a string — the artifact round-trips through
-    JSON, where integer keys would silently become strings anyway.
+    Keyed by the loop index as a string — the report artifact embedding it
+    round-trips through JSON, where integer keys would silently become
+    strings anyway.
     """
     return {
         str(index): _transform_applicability(program, function, index)

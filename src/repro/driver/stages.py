@@ -20,11 +20,13 @@ its own body, its own summary artifact, and its direct callees' artifact
 digests — *not* their bodies.  That indirection is the early-cutoff
 firewall: an edit that leaves a callee's summary artifact byte-identical
 leaves every caller's keys untouched, so callers are reused unrun.  The
-``report`` stage caches the assembled legacy report; on a report miss the
-``analysis`` (fixpoint + validation), ``loops`` (classification), and
-``transforms`` (applicability) stages are probed individually, so e.g. an
-evicted report is reassembled from intact stage artifacts without solving
-anything.
+``report`` stage caches the assembled legacy report.  On a report miss the
+``analysis`` artifact (fixpoint + validation verdict plus the loop classes)
+is probed; transform applicability is recomputed from its parallelizable
+loops, which solves no fixpoint.  So an evicted report is reassembled from
+an intact analysis artifact without solving anything.  Only artifacts a
+later run reads are written: the summary, analysis, report and manifest
+stages (plus ``sim``, written by the batch driver).
 
 Two-phase commit: phase 1 settles *every* summary artifact of a component
 before any phase-2 (or caller phase-1) key is formed, so a changed
@@ -121,7 +123,7 @@ class StagedEngine:
         body_digest = {n: _sha("body", src) for n, src in bodies.items()}
         base_line = {f.name: (f.line or 1) for f in program.functions}
         #: collision-avoiding fresh names in the transforms depend on the
-        #: program's whole function-name set, so it keys those stages
+        #: program's whole function-name set, so it keys the report stage
         names_blob = ",".join(sorted(bodies))
 
         # the manifest of the previous run, for dirty accounting
@@ -143,13 +145,6 @@ class StagedEngine:
                 graph.transitive_callees(function) & dirty
             )
 
-        # parse stage: the canonical unparsed body, content-addressed by its
-        # own digest (byte-identical bodies across programs share one entry)
-        for n in sorted(bodies):
-            pkey = _sha("parse", version, body_digest[n])
-            if self.cache.get(pkey, stage="parse") is None:
-                self.cache.put(pkey, {"body": bodies[n]}, stage="parse")
-
         # -- phase 1: bottom-up summary resolution over the condensation -----
         table: dict[str, FunctionSummary] = {}
         analysis = PathMatrixAnalysis(
@@ -161,7 +156,6 @@ class StagedEngine:
         direct = direct_summaries(program)
         call_maps = _call_argument_map(program)
         art_digest: dict[str, str] = {}
-        return_types: dict[str, str | None] = {}
         fixpoints_before = fixpoint_run_count()
 
         def artifact(n: str, summary_dict: dict, rt: str | None) -> str:
@@ -187,7 +181,6 @@ class StagedEngine:
                 for n in members:
                     entry = cached["functions"][n]
                     table[n] = FunctionSummary.from_dict(entry["summary"])
-                    return_types[n] = entry["return_type"]
                     art_digest[n] = artifact(n, entry["summary"], entry["return_type"])
                 stats.summaries_reused += len(members)
                 continue
@@ -204,29 +197,9 @@ class StagedEngine:
                     "summary": summary_dict,
                     "return_type": rt,
                 }
-                return_types[n] = rt
                 art_digest[n] = artifact(n, summary_dict, rt)
             self.cache.put(skey, payload, stage="summary")
             stats.summaries_recomputed += len(members)
-
-        # typecheck stage: the inferred environment verdict, keyed on the own
-        # body plus the callee *return types* it was inferred under
-        for n in sorted(bodies):
-            rt_blob = ";".join(
-                f"{c}={return_types.get(c) or ''}" for c in sorted(graph.callees(n))
-            )
-            tkey = _sha("typecheck", version, opts, types_src, bodies[n], rt_blob)
-            if self.cache.get(tkey, stage="typecheck") is None:
-                env = analysis.check_result.environments.get(n)
-                payload = {
-                    "function": n,
-                    "env": {
-                        var: str(ty) for var, ty in sorted(env.types.items())
-                    }
-                    if env is not None
-                    else {},
-                }
-                self.cache.put(tkey, payload, stage="typecheck")
 
         # -- phase 2: per-function stage probe / compute / assemble -----------
         for members in cond.sccs:
@@ -254,81 +227,54 @@ class StagedEngine:
                         on_reused(fn)
                     continue
 
-                computed_fixpoint = False
                 akey = _sha("analysis", *base)
                 cached_a = self.cache.get(akey, stage="analysis")
                 if cached_a is not None:
                     verdict = absolutize_report(cached_a, line)
-                    status, analysis_dict = verdict["status"], verdict["analysis"]
                 else:
                     status, analysis_dict = analysis_payload(
                         analysis, fn, self.options
                     )
-                    self.cache.put(
-                        akey,
-                        relativize_report(
-                            {"status": status, "analysis": analysis_dict}, line
-                        ),
-                        stage="analysis",
-                    )
-                    computed_fixpoint = True
-
-                entries: list = []
-                transforms: dict = {}
-                if status == "ok":
-                    lkey = _sha("loops", *base)
-                    cached_l = self.cache.get(lkey, stage="loops")
-                    if cached_l is not None:
-                        classified = absolutize_report(cached_l, line)
-                        entries = classified["loops"]
-                        parallelizable = classified["parallelizable"]
-                    else:
+                    entries, parallelizable = [], []
+                    if status == "ok":
                         entries, parallelizable = loops_payload(
                             program, fn, analysis, self.options
                         )
-                        self.cache.put(
-                            lkey,
-                            relativize_report(
-                                {
-                                    "loops": entries,
-                                    "parallelizable": parallelizable,
-                                },
-                                line,
-                            ),
-                            stage="loops",
-                        )
-                    xkey = _sha("transforms", *base, names_blob)
-                    cached_x = self.cache.get(xkey, stage="transforms")
-                    if cached_x is not None:
-                        transforms = absolutize_report(cached_x, line)["transforms"]
-                    else:
-                        transforms = transforms_payload(program, fn, parallelizable)
-                        self.cache.put(
-                            xkey,
-                            relativize_report({"transforms": transforms}, line),
-                            stage="transforms",
-                        )
+                    verdict = {
+                        "status": status,
+                        "analysis": analysis_dict,
+                        "loops": entries,
+                        "parallelizable": parallelizable,
+                    }
+                    self.cache.put(
+                        akey, relativize_report(verdict, line), stage="analysis"
+                    )
+                # transform applicability runs no fixpoint, so it is recomputed
+                # on every report miss rather than stored on its own
+                transforms = transforms_payload(
+                    program, fn, verdict["parallelizable"]
+                )
 
                 summary_payload = table[fn].to_dict() if fn in table else None
                 assembled = assemble_report(
                     fn,
                     self.options,
                     summary_payload,
-                    status,
-                    analysis_dict,
-                    entries,
+                    verdict["status"],
+                    verdict["analysis"],
+                    verdict["loops"],
                     transforms,
                 )
                 functions_out[fn] = assembled
                 self.cache.put(
                     rkey, relativize_report(assembled, line), stage="report"
                 )
-                if computed_fixpoint:
+                if cached_a is None:
                     stats.recomputed += 1
                     if on_recomputed is not None:
                         on_recomputed(fn)
                 else:
-                    # reassembled from intact stage artifacts — no solve ran
+                    # reassembled from an intact analysis artifact — no solve ran
                     stats.reused += 1
                     if touches_dirty(fn):
                         stats.firewalled += 1

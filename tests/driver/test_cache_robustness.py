@@ -89,8 +89,7 @@ class TestCorruptionRecovery:
 
     def test_corrupt_report_heals_from_stage_artifacts(self, tmp_path):
         # losing only the assembled report does not cost a fixpoint: the
-        # engine reassembles it from the intact analysis/loops/transforms
-        # artifacts
+        # engine reassembles it from the intact analysis artifact
         _, items, seeded = self._seed(tmp_path)
         clean = {p.name: p.functions for p in seeded.programs}
         for entry in (tmp_path / "report").glob("*.json"):
@@ -154,6 +153,28 @@ class TestVerify:
     def test_verify_on_missing_directory(self, tmp_path):
         cache = ResultCache(tmp_path / "never-created")
         assert cache.verify() == {"checked": 0, "ok": 0, "corrupt": [], "evicted": 0}
+
+
+class TestClear:
+    def test_clear_removes_retired_stages_but_keeps_quarantine(self, tmp_path):
+        driver = BatchDriver(jobs=1, cache_dir=tmp_path, simulate=False)
+        driver.analyze_corpus([CorpusItem(name="one", source=SRC)])
+        current = len(_stage_entries(tmp_path))
+        # an older store version's stage, and a poison-task record
+        (tmp_path / "loops").mkdir()
+        (tmp_path / "loops" / "x.json").write_text(encode_entry({"loops": []}))
+        (tmp_path / "quarantine").mkdir()
+        record = tmp_path / "quarantine" / "one.json"
+        record.write_text("{}")
+
+        cache = ResultCache(tmp_path)
+        assert cache.entry_count() == current + 1
+        assert cache.entry_count("loops") == 1
+        assert cache.verify()["checked"] == current + 1
+        assert cache.clear() == current + 1
+        assert cache.entry_count() == 0
+        assert not (tmp_path / "loops").exists()
+        assert record.exists()
 
 
 class TestTransientIO:

@@ -13,10 +13,10 @@ import pytest
 from repro.adds.library import merged_into, standard_source
 from repro.driver.batch import BatchDriver, BatchReport
 from repro.driver.corpus import CorpusItem
+from repro.driver.faults import FAULTS_ENV_VAR
 from repro.driver.executor import (
     CHUNK_COST_TARGET,
     CHUNK_MAX_FUNCTIONS,
-    CRASH_ENV_VAR,
     MAX_DEFAULT_JOBS,
     default_jobs,
     estimate_cost,
@@ -25,6 +25,9 @@ from repro.driver.executor import (
 )
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
+
+#: ``mid`` kills its worker on every attempt: a poison function
+CRASH_MID = {FAULTS_ENV_VAR: "crash:function=mid,times=99"}
 
 CHAIN_SRC = standard_source("ListNode") + """
 function tiny(p) { return p; }
@@ -228,7 +231,7 @@ class TestCrashSurfacing:
         and every healthy function analyzed — not a hang, not an abort."""
         source = tmp_path / "chain.ptr"
         source.write_text(CHAIN_SRC)
-        proc = self._run_cli(source, env_extra={CRASH_ENV_VAR: "mid"})
+        proc = self._run_cli(source, env_extra=CRASH_MID)
         assert proc.returncode == 4, (proc.stdout, proc.stderr)
         assert "mid: QUARANTINED" in proc.stdout
         # the innocent chunk-mates still completed
@@ -239,8 +242,6 @@ class TestCrashSurfacing:
         unrecoverable: the hard exit 3 is reserved for exactly this."""
         source = tmp_path / "chain.ptr"
         source.write_text(CHAIN_SRC)
-        proc = self._run_cli(
-            source, "--max-respawns", "0", env_extra={CRASH_ENV_VAR: "mid"}
-        )
+        proc = self._run_cli(source, "--max-respawns", "0", env_extra=CRASH_MID)
         assert proc.returncode == 3, (proc.stdout, proc.stderr)
         assert "batch execution failed" in proc.stderr

@@ -1,7 +1,7 @@
 """The staged engine's incremental guarantees: summary-digest firewalling
 (early cutoff), soundness of the firewall (summary- and return-type-changing
-edits must invalidate callers), line-relative artifact sharing across
-offsets, and the per-worker LRU bound.
+edits must invalidate callers), the store's stage layout, line-relative
+artifact sharing across offsets, and the per-worker LRU bound.
 
 The acceptance property throughout: an incremental run's report is
 **bit-identical** to the same analysis from scratch — incrementality may
@@ -11,6 +11,7 @@ never change an answer, only skip work.
 from collections import OrderedDict
 
 from repro.driver.batch import BatchDriver
+from repro.driver.cache import LEDGER_NAME
 from repro.driver.corpus import CorpusItem
 from repro.driver.pipeline import _CACHE_LIMIT, _bounded
 
@@ -143,6 +144,44 @@ function use()
         assert {p.name: p.functions for p in warm.programs} == _scratch(
             edited, name="rt"
         )
+
+
+class TestStoreLayout:
+    def test_cold_run_writes_only_what_later_runs_read(self, tmp_path):
+        _run(BASE, tmp_path)
+        stages = sorted(p.name for p in tmp_path.iterdir() if p.is_dir())
+        assert stages == ["analysis", "manifest", "report", "summary"]
+        assert {p.name for p in tmp_path.iterdir() if p.is_file()} == {
+            LEDGER_NAME
+        }
+        # one analysis and one report artifact per function
+        assert len(list((tmp_path / "analysis").glob("*.json"))) == 3
+        assert len(list((tmp_path / "report").glob("*.json"))) == 3
+
+    def test_adding_an_unrelated_function_resolves_no_old_fixpoint(self, tmp_path):
+        _run(BASE, tmp_path)
+        # the function-name set keys the reports (transforms pick fresh
+        # names against it), so every old report misses; each is
+        # reassembled from its intact analysis artifact
+        edited = BASE + """
+function spare(m)
+{ var k;
+  k = m * 2;
+  return k;
+}
+"""
+        driver = BatchDriver(jobs=1, cache_dir=tmp_path, simulate=False)
+        warm = driver.analyze_corpus([CorpusItem(name="prog", source=edited)])
+        inc = warm.incremental
+
+        assert inc["dirty"] == 1
+        assert inc["reused"] == 3
+        assert inc["recomputed"] == 1  # spare itself, analyzed for the first time
+        assert inc["fixpoints_run"] == 1  # ...and nothing else solved
+        assert inc["summaries_reused"] == 3
+        assert driver.cache.stage_counters["report"]["misses"] == 4
+        assert driver.cache.stage_counters["analysis"]["hits"] == 3
+        assert {p.name: p.functions for p in warm.programs} == _scratch(edited)
 
 
 class TestLineRelativeSharing:
