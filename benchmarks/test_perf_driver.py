@@ -8,15 +8,14 @@ and writes ``BENCH_driver.json`` at the repository root:
 * ``warm_serial``      — jobs=1 over the cold run's cache (pure cache read),
 * ``cold_parallel_2/4/8`` — persistent worker pool, fresh cache each.
 
-Every cold scenario gets its own empty cache directory.  The serial path
-(the staged engine) must execute exactly one analysis per *distinct*
-function — corpus functions that are content-identical across programs
-(same body, types, and callee closure, e.g. the ``insert`` shared by the
-two tree examples) are served from the just-written stage artifacts
-instead of re-solved.  The parallel path probes all plans up front, so a
-cold parallel run analyzes every function with zero hits.  The warm run
-must execute zero analyses.  All configurations must produce identical
-per-function reports (the parallel path is bit-identical to serial).
+Every cold scenario gets its own empty cache directory.  Every cold run,
+serial or pooled, must execute exactly one analysis per *distinct*
+call-graph component — components that are content-identical across
+programs (same bodies, types, and callee summaries, e.g. the ``insert``
+shared by the two tree examples) are computed once and served to the other
+programs from that one artifact.  The warm run must execute zero analyses.
+All configurations must produce identical per-function reports (the
+parallel path is bit-identical to serial).
 
 Wall-clock numbers are recorded, not gated (CI machines vary); the snapshot
 records ``host_cpus`` so scaling ratios can be judged in context — on a
@@ -76,27 +75,18 @@ def _row(scenario, jobs, batch, elapsed, functions):
     return row
 
 
-def _content_duplicate_count(items) -> int:
-    """Functions sharing all analysis-relevant content (body, types, callee
-    closure) with an earlier corpus function — the staged serial engine
-    serves these from stage artifacts instead of re-solving them."""
-    from repro.driver.cache import function_digests
-    from repro.driver.callgraph import build_call_graph
-    from repro.driver.pipeline import PipelineOptions
-    from repro.lang.parser import parse_program
+def _content_duplicate_count(functions: int, store: Path) -> int:
+    """Functions whose component shares all analysis-relevant content
+    (bodies, types, callee summaries) with a component of an earlier corpus
+    program: the store keeps one artifact per distinct component, so these
+    are the functions its artifacts do not account for."""
+    from repro.driver.cache import decode_entry
 
-    seen: set[str] = set()
-    duplicates = 0
-    for item in items:
-        program = parse_program(item.source)
-        digests = function_digests(
-            program, build_call_graph(program), PipelineOptions().key()
-        )
-        for digest in digests.values():
-            if digest in seen:
-                duplicates += 1
-            seen.add(digest)
-    return duplicates
+    stored = sum(
+        len(decode_entry(path.read_text())["functions"])
+        for path in (store / "summary").glob("*.json")
+    )
+    return functions - stored
 
 
 @pytest.fixture(scope="module")
@@ -124,7 +114,7 @@ def measurements(tmp_path_factory):
         "warm": warm,
         "parallel_runs": parallel_runs,
         "rows": rows,
-        "duplicates": _content_duplicate_count(items),
+        "duplicates": _content_duplicate_count(functions, serial_cache),
     }
 
 
@@ -134,22 +124,19 @@ def test_corpus_is_substantial(measurements):
     assert not any(p.error for p in measurements["cold"].programs)
 
 
-def test_cold_runs_execute_every_function_exactly_once(measurements):
-    """A cold run over an empty cache solves each *distinct* function once.
-    The staged serial engine serves content-identical duplicates from the
-    stage artifacts written moments earlier; the parallel path probes all
-    plans before running anything, so it sees an empty cache throughout."""
+def test_cold_runs_execute_every_component_exactly_once(measurements):
+    """A cold run over an empty cache computes each *distinct* component
+    once, serial or pooled: a content-identical duplicate is served from the
+    artifact its first occurrence wrote, or waits for the task computing
+    it."""
     functions = measurements["cold"].function_count()
     duplicates = measurements["duplicates"]
+    assert duplicates >= 1  # the two tree examples share ``insert``
     for row in measurements["rows"]:
         if not row["scenario"].startswith("cold_"):
             continue
-        if row["scenario"] == "cold_serial":
-            assert row["cache_hits"] == duplicates, row["scenario"]
-            assert row["analyses_executed"] == functions - duplicates, row["scenario"]
-        else:
-            assert row["cache_hits"] == 0, row["scenario"]
-            assert row["analyses_executed"] == functions, row["scenario"]
+        assert row["cache_hits"] == duplicates, row["scenario"]
+        assert row["analyses_executed"] == functions - duplicates, row["scenario"]
 
 
 def test_warm_run_is_fully_cached(measurements):

@@ -4,12 +4,15 @@ Scales the per-function analysis core across whole programs and corpora:
 
 * :mod:`repro.driver.callgraph` — call graphs, SCCs, bottom-up parallel
   schedules (the order the paper validates Barnes–Hut in),
-* :mod:`repro.driver.cache`     — on-disk memoization keyed by function AST
-  + transitive callee summary digests,
+* :mod:`repro.driver.cache`     — the on-disk artifact store: one artifact
+  per call-graph component, keyed by its bodies + its callees' summary
+  digests,
 * :mod:`repro.driver.corpus`    — the built-in program corpus (paper
   examples, ``examples/corpus/*.ptr``, stress generators),
-* :mod:`repro.driver.pipeline`  — the per-function job and the whole-program
-  simulation stage,
+* :mod:`repro.driver.pipeline`  — the per-function stages and the
+  whole-program simulation stage,
+* :mod:`repro.driver.stages`    — the component routine every task runs, and
+  the component keys and reports,
 * :mod:`repro.driver.executor`  — the self-healing persistent worker pool
   (per-task deadlines, targeted kill-and-respawn, sacrificial runs),
 * :mod:`repro.driver.faults`    — deterministic fault injection and
@@ -20,7 +23,7 @@ Scales the per-function analysis core across whole programs and corpora:
 """
 
 from repro.driver.batch import BatchDriver, BatchReport, ProgramReport
-from repro.driver.cache import ResultCache, function_digests, program_digest
+from repro.driver.cache import ResultCache, program_digest
 from repro.driver.callgraph import (
     CallGraph,
     bottom_up_waves,
@@ -35,18 +38,13 @@ from repro.driver.corpus import (
     paper_corpus,
     stress_corpus,
 )
-from repro.driver.pipeline import (
-    PipelineOptions,
-    analyze_function_job,
-    simulate_program,
-)
+from repro.driver.pipeline import PipelineOptions, simulate_program
 
 __all__ = [
     "BatchDriver",
     "BatchReport",
     "ProgramReport",
     "ResultCache",
-    "function_digests",
     "program_digest",
     "CallGraph",
     "build_call_graph",
@@ -59,6 +57,5 @@ __all__ = [
     "stress_corpus",
     "load_source_file",
     "PipelineOptions",
-    "analyze_function_job",
     "simulate_program",
 ]

@@ -1,25 +1,28 @@
 """The whole-program batch driver: ready-queue scheduled, memoized, fault-tolerant.
 
 For every corpus program the driver parses the source, builds the call
-graph, and condenses it into strongly-connected components.  Components are
+graph, and condenses it into strongly-connected components — the unit of
+work and of storage (see :mod:`repro.driver.stages`).  Components are
 scheduled **bottom-up by dependency count** (callees before callers — the
 order the paper validates Barnes–Hut in): each component carries a count of
-not-yet-landed callee components, and the moment that count reaches zero it
-is runnable, whatever else is still in flight.  There is no wave barrier —
-only true call-graph edges ever delay work, and components from *different
-programs* interleave freely on the same worker pool.
+not-yet-landed callee components, and the moment that count reaches zero
+the driver forms its key from its callees' summary digests and probes the
+store.  A hit lands at once, which may free its dependents in turn; a miss
+becomes a task.  There is no wave barrier — only true call-graph edges ever
+delay work, and components from *different programs* interleave freely.
 
-With ``jobs > 1`` runnable components are packed into cost-balanced chunks
+Tasks run on one of two backends behind one submit/poll protocol: with
+``jobs > 1`` runnable components are packed into cost-balanced chunks
 (:func:`repro.driver.executor.pack_chunks`) and pulled by a pool of
-persistent warm workers; ``jobs == 1`` bypasses the executor entirely and
-runs the same schedule inline (easy profiling and debugging, zero
-multiprocessing overhead).  Every function's report is memoized in the
-on-disk :class:`~repro.driver.cache.ResultCache` keyed by its own AST and
-the unparsed bodies of its transitive callees, so a warm re-run performs no
-analysis at all (the acceptance test asserts exactly that).
+persistent warm workers; ``jobs == 1`` runs the same tasks inline, one
+program at a time (easy profiling and debugging, zero multiprocessing
+overhead).  Either way the coordinator does all probing and all writing,
+and turns a task's artifact into reports exactly as it does a stored one,
+so a warm re-run performs no analysis at all and reproduces the cold run's
+reports bit for bit.
 
-Partial failure stays partial.  The pooled path reacts to the executor's
-``crashed``/``timeout`` events with an escalation ladder instead of aborting:
+Partial failure stays partial.  The pool's ``crashed``/``timeout`` events
+drive an escalation ladder instead of aborting:
 
 1. a multi-component chunk that dies is **bisected** — the halves re-run,
    isolating the offender while the innocents complete;
@@ -36,40 +39,48 @@ Partial failure stays partial.  The pooled path reacts to the executor's
    ``status="timeout"`` — hangs never stall the batch.
 
 Failed functions are *reported* (and never cached, so the next run retries
-them); every healthy function still completes.  Only an unrecoverable pool
-(respawn failure, respawn budget exhausted) aborts the run.
+them); every healthy function still completes: a caller of a failed
+component resolves that component's summaries from source in its own task,
+and is stored under their digests.  Only an unrecoverable pool (respawn
+failure, respawn budget exhausted) aborts the run.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import time
 from dataclasses import asdict, dataclass, field
 
 from repro.lang.ast_nodes import Program
 from repro.lang.errors import LangError
+from repro.lang.pretty import unparse
 from repro.pathmatrix.interproc import summaries_from_payloads
 
-from repro.driver.cache import ResultCache, function_digests, program_digest
+from repro.driver.cache import CACHE_VERSION, ResultCache, _sha, program_digest
 from repro.driver.callgraph import CallGraph, Condensation, build_call_graph, condense
 from repro.driver.corpus import CorpusItem
 from repro.driver.executor import (
+    InlineExecutor,
     PersistentExecutor,
     Task,
     TaskTiming,
     estimate_cost,
     pack_chunks,
     run_sacrificial,
-    warm_parsed_programs,
 )
 from repro.driver.faults import SIMULATE_TOKEN, write_quarantine_record
-from repro.driver.pipeline import (
-    PipelineOptions,
-    analyze_function_job,
-    parsed_program,
-    simulate_program,
+from repro.driver.pipeline import PipelineOptions, parsed_program, simulate_program
+from repro.driver.stages import (
+    IncrementalStats,
+    ProgramState,
+    analyze_component,
+    component_key,
+    component_reports,
+    first_lines,
+    names_tag,
+    summary_digest,
 )
-from repro.driver.stages import IncrementalStats, StagedEngine
 
 #: first retry of a crashed component waits this long; each further retry
 #: doubles it (pure backoff — the analysis itself is deterministic)
@@ -153,8 +164,8 @@ class BatchReport:
     #: aggregate task timing breakdown; ``tasks`` detail only with profiling
     profile: dict | None = None
     resilience: ResilienceCounters = field(default_factory=ResilienceCounters)
-    #: staged-engine counters (inline runs only): reused / firewalled /
-    #: recomputed / dirty / fixpoints_run — see driver/stages.py
+    #: staged-engine counters: reused / firewalled / recomputed / dirty /
+    #: fixpoints_run — see driver/stages.py
     incremental: dict | None = None
 
     def program(self, name: str) -> ProgramReport:
@@ -216,18 +227,27 @@ class _ProgramPlan:
     #: parsed program + call graph (coordinator-side only, never pickled)
     program: Program | None = None
     graph: CallGraph | None = None
-    digests: dict[str, str] = field(default_factory=dict)
-    #: component -> cache-missed functions still to analyze
-    pending: dict[int, list[str]] = field(default_factory=dict)
-    #: component -> estimated analysis cost of its pending functions
-    costs: dict[int, int] = field(default_factory=dict)
+    #: component -> its members' callees outside it, sorted
+    externals: list[list[str]] = field(default_factory=list)
+    #: key ingredients: type declarations, per-function body digests
+    types_src: str = ""
+    bodies: dict[str, str] = field(default_factory=dict)
+    names: str = ""
+    lines: dict[str, int] = field(default_factory=dict)
+    #: function -> its summary payload and the digest callers key on
+    summaries: dict[str, dict] = field(default_factory=dict)
+    summary_digests: dict[str, str] = field(default_factory=dict)
+    #: functions whose body changed since the previous run's manifest
+    dirty: set[str] = field(default_factory=set)
+    manifest_key: str = ""
+    stats: IncrementalStats = field(default_factory=IncrementalStats)
     #: component -> count of not-yet-landed callee components
     blockers: dict[int, int] = field(default_factory=dict)
     #: component -> how many times a task holding it crashed
     crash_attempts: dict[int, int] = field(default_factory=dict)
     sim_attempts: int = 0
     landed: set[int] = field(default_factory=set)
-    #: runnable components not yet packed into a chunk
+    #: components whose callees have all landed, not yet served or packed
     ready: list[int] = field(default_factory=list)
     sim_key: str | None = None
     needs_simulation: bool = False
@@ -236,32 +256,29 @@ class _ProgramPlan:
     def schedulable(self) -> bool:
         return self.cond is not None
 
-    def land(self, component: int) -> list[int]:
-        """Mark ``component``'s results available; return newly ready ones."""
+    def land(self, component: int) -> None:
+        """Mark ``component``'s results available; its dependents whose
+        callees have now all landed become ready."""
         if component in self.landed:
-            return []
+            return
         self.landed.add(component)
-        freed: list[int] = []
-        assert self.cond is not None
         for dependent in sorted(self.cond.dependents.get(component, ())):
             self.blockers[dependent] -= 1
-            if self.blockers[dependent] == 0 and self.pending.get(dependent):
-                freed.append(dependent)
-        self.ready.extend(freed)
-        return freed
+            if self.blockers[dependent] == 0:
+                self.ready.append(dependent)
 
 
 class BatchDriver:
     """Drive the full pipeline over many programs, in parallel, with caching.
 
-    ``jobs=1`` analyzes in-process (no pool); ``jobs>1`` schedules
+    ``jobs=1`` runs tasks in-process (no pool); ``jobs>1`` schedules
     cost-balanced chunks of call-graph components onto a persistent worker
     pool the moment their callees have landed.  ``cache_dir=None`` disables
     memoization.  ``start_method`` picks the multiprocessing start method
     (default: ``fork`` where available, else ``spawn``); ``profile=True``
     keeps the per-task timing breakdown in the report.
 
-    Fault tolerance (pooled path only — inline runs share the caller's
+    Fault tolerance (pooled runs only — inline runs share the caller's
     process and cannot be killed or respawned):
 
     * ``task_timeout`` — per-task deadline in seconds; an overdue task's
@@ -312,26 +329,28 @@ class BatchDriver:
         started = time.perf_counter()
 
         plans = [self._plan_item(i, item, report) for i, item in enumerate(items)]
-        if self.jobs > 1:
-            timings = self._run_parallel(plans, report)
-        else:
-            timings = self._run_inline(plans, report)
-        report.profile = self._aggregate_profile(timings)
+        report.profile = self._aggregate_profile(self._run(plans, report))
+        totals = IncrementalStats()
+        for plan in plans:
+            if plan.schedulable:
+                self._commit_manifest(plan)
+                totals.merge(plan.stats)
+        report.incremental = totals.to_dict()
 
         report.programs = [plan.report for plan in plans]
         report.resilience.cache_evictions = self.cache.evictions
         report.resilience.cache_io_retries = self.cache.io_retries
         report.elapsed_s = time.perf_counter() - started
-        extra = {
-            "analyses_executed": report.analyses_executed,
-            "run_cache_hits": report.cache_hits,
-        }
-        if report.incremental is not None:
-            extra["incremental"] = report.incremental
-        self.cache.write_ledger(extra)
+        self.cache.write_ledger(
+            {
+                "analyses_executed": report.analyses_executed,
+                "run_cache_hits": report.cache_hits,
+                "incremental": report.incremental,
+            }
+        )
         return report
 
-    # -- planning ------------------------------------------------------------
+    # -- planning and probing --------------------------------------------------
     def _plan_item(self, index: int, item: CorpusItem, batch: BatchReport) -> _ProgramPlan:
         plan = _ProgramPlan(index=index, item=item, report=ProgramReport(name=item.name))
         try:
@@ -348,37 +367,30 @@ class BatchDriver:
         plan.report.schedule = plan.cond.waves()
         plan.program = program
         plan.graph = graph
-        if self.jobs > 1:
-            # pooled path: legacy body-keyed report probing + ready-queue
-            # bookkeeping.  The inline path (jobs == 1) skips all of this —
-            # the staged engine probes the per-stage artifact store itself.
-            plan.digests = function_digests(program, graph, self.options.key())
-            self.cache.preload(plan.digests.values())
+        plan.externals = [
+            sorted({c for n in scc for c in graph.callees(n)} - set(scc))
+            for scc in plan.cond.sccs
+        ]
+        plan.types_src = "\n".join(unparse(t) for t in program.types)
+        plan.bodies = {f.name: _sha("body", unparse(f)) for f in program.functions}
+        plan.names = names_tag(program)
+        plan.lines = first_lines(program)
 
-            plan.blockers = plan.cond.initial_blockers()
-            for i, scc in enumerate(plan.cond.sccs):
-                pending: list[str] = []
-                cost = 0
-                for name in scc:
-                    cached = self.cache.get(plan.digests[name])
-                    if cached is not None:
-                        plan.report.functions[name] = cached
-                        batch.cache_hits += 1
-                    else:
-                        pending.append(name)
-                        cost += estimate_cost(program.function_named(name), program)
-                plan.pending[i] = pending
-                plan.costs[i] = cost
-            # components with nothing to compute land immediately (their
-            # results came from the cache), which may free their dependents
-            for i in range(len(plan.cond.sccs)):
-                if not plan.pending[i]:
-                    plan.land(i)
-            plan.ready = [
-                i
-                for i in range(len(plan.cond.sccs))
-                if plan.pending[i] and plan.blockers[i] == 0
-            ]
+        # the previous run's manifest, for dirty accounting
+        plan.manifest_key = _sha(
+            "manifest", str(CACHE_VERSION), self.options.key(), item.name
+        )
+        manifest = self.cache.get(plan.manifest_key, stage="manifest")
+        previous = manifest["functions"] if manifest is not None else {}
+        plan.dirty = {
+            n for n, body in plan.bodies.items()
+            if previous.get(n, {}).get("body") != body
+        }
+        plan.stats.dirty = len(plan.dirty)
+
+        plan.blockers = plan.cond.initial_blockers()
+        plan.ready = [i for i, count in plan.blockers.items() if count == 0]
+        self._probe_ready(plan, batch)
 
         if self.simulate:
             plan.sim_key = program_digest(item.source, self.options.key())
@@ -390,115 +402,173 @@ class BatchDriver:
                 plan.needs_simulation = True
         return plan
 
-    # -- inline execution (jobs == 1, the staged incremental engine) -----------
-    def _run_inline(self, plans: list[_ProgramPlan], batch: BatchReport) -> list[TaskTiming]:
-        batch.start_method = None
-        batch.effective_jobs = 1
-        work_started = time.perf_counter()
-        functions_run = 0
-        totals = IncrementalStats()
-        engine = StagedEngine(self.cache, self.options)
+    def _key(self, plan: _ProgramPlan, component: int) -> str | None:
+        """The component's store key, or ``None`` while some external callee
+        has no summary digest (its component failed)."""
+        callees = plan.externals[component]
+        if any(c not in plan.summary_digests for c in callees):
+            return None
+        return component_key(
+            self.options.key(),
+            plan.types_src,
+            [(n, plan.bodies[n]) for n in plan.cond.sccs[component]],
+            [(c, plan.summary_digests[c]) for c in callees],
+        )
 
-        def count_reused(_name: str) -> None:
-            batch.cache_hits += 1
-
-        def count_recomputed(_name: str) -> None:
-            batch.analyses_executed += 1
-
-        for plan in plans:
-            if not plan.schedulable:
+    def _probe_ready(self, plan: _ProgramPlan, batch: BatchReport) -> None:
+        """Serve every ready component the store holds (landing one may free
+        more); leave in ``plan.ready`` only those a task must compute."""
+        misses: list[int] = []
+        while plan.ready:
+            component = plan.ready.pop()
+            key = self._key(plan, component)
+            artifact = None if key is None else self.cache.get(key, stage="summary")
+            if artifact is None:
+                misses.append(component)
                 continue
-            # condensation order is bottom-up, so the engine's two phases
-            # never touch a component before its callees
-            stats = engine.run(
-                plan.item.name,
-                plan.program,
-                plan.graph,
-                plan.cond,
-                plan.report.functions,
-                on_reused=count_reused,
-                on_recomputed=count_recomputed,
-            )
-            totals.merge(stats)
-            functions_run += stats.recomputed
-            if plan.needs_simulation:
-                self._record_simulation(
-                    plan, simulate_program(plan.item.source, self.options)
-                )
-        batch.incremental = totals.to_dict()
-        analyze_s = time.perf_counter() - work_started
-        if not functions_run and not any(p.needs_simulation for p in plans):
-            return []
-        return [
-            TaskTiming(
-                task_id=0,
-                kind="inline",
-                program="*",
-                functions=functions_run,
-                cost=0,
-                worker_pid=0,
-                queue_wait_s=0.0,
-                parse_s=0.0,
-                analyze_s=analyze_s,
-                transfer_s=0.0,
-                total_s=analyze_s,
-            )
-        ]
+            self._record(plan, component, artifact, batch, computed=False)
+            plan.land(component)
+        plan.ready = sorted(misses)
 
-    # -- parallel execution (persistent workers, ready queue) ------------------
-    def _run_parallel(self, plans: list[_ProgramPlan], batch: BatchReport) -> list[TaskTiming]:
-        active = [
-            plan
-            for plan in plans
-            if plan.schedulable and (any(plan.pending.values()) or plan.needs_simulation)
-        ]
+    # -- result bookkeeping ---------------------------------------------------
+    def _record(
+        self,
+        plan: _ProgramPlan,
+        component: int,
+        artifact: dict,
+        batch: BatchReport,
+        computed: bool,
+    ) -> None:
+        members = plan.cond.sccs[component]
+        reports = component_reports(
+            artifact, plan.program, plan.names, plan.lines, self.options
+        )
+        for name in members:
+            entry = artifact["functions"][name]
+            plan.summaries[name] = {
+                "summary": entry["summary"],
+                "return_type": entry["return_type"],
+            }
+            plan.summary_digests[name] = summary_digest(name, entry)
+            plan.report.functions[name] = reports[name]
+        stats = plan.stats
+        if computed:
+            stats.recomputed += len(members)
+            stats.summaries_recomputed += len(members)
+            batch.analyses_executed += len(members)
+            return
+        stats.reused += len(members)
+        stats.summaries_reused += len(members)
+        batch.cache_hits += len(members)
+        if plan.dirty:
+            stats.firewalled += sum(
+                1
+                for n in members
+                if n not in plan.dirty and plan.graph.transitive_callees(n) & plan.dirty
+            )
+
+    def _record_computed(
+        self, plan: _ProgramPlan, component: int, outcome: dict, batch: BatchReport
+    ) -> str | None:
+        """Store and record a task's artifact; returns its key."""
+        for name, entry in outcome["resolved"].items():
+            # a failed callee's summary, resolved from source by this task
+            plan.summaries.setdefault(name, entry)
+            plan.summary_digests.setdefault(name, summary_digest(name, entry))
+        key = self._key(plan, component)
+        if key is not None:
+            self.cache.put(key, outcome["artifact"], stage="summary")
+        plan.stats.fixpoints_run += outcome["fixpoints"]
+        self._record(plan, component, outcome["artifact"], batch, computed=True)
+        return key
+
+    def _record_simulation(self, plan: _ProgramPlan, payload: dict) -> None:
+        plan.report.simulation = payload
+        if plan.sim_key is not None:
+            self.cache.put(plan.sim_key, payload, stage="sim")
+        plan.needs_simulation = False
+
+    def _commit_manifest(self, plan: _ProgramPlan) -> None:
+        """Record body and summary digests for the next run's dirty
+        accounting (unchanged manifests are not rewritten)."""
+        functions = {
+            n: {"body": plan.bodies[n], "summary": plan.summary_digests.get(n)}
+            for n in sorted(plan.bodies)
+        }
+        self.cache.put(plan.manifest_key, {"functions": functions}, stage="manifest")
+
+    # -- execution (one scheduler, inline or pooled) ---------------------------
+    def _run(self, plans: list[_ProgramPlan], batch: BatchReport) -> list[TaskTiming]:
+        active = [plan for plan in plans if plan.ready or plan.needs_simulation]
         if not active:  # fully warm run: do not even start the pool
             batch.effective_jobs = 1
             return []
-        sources = [plan.item.source for plan in plans]
-        # pre-fork warm-up: forked workers inherit the parsed programs
-        # copy-on-write instead of each re-parsing the corpus
-        warm_parsed_programs([plan.item.source for plan in active])
         timings: list[TaskTiming] = []
-        task_counter = 0
+        task_ids = itertools.count(1)
+        costs: dict[tuple[int, int], int] = {}
 
-        def next_task_id() -> int:
-            nonlocal task_counter
-            task_counter += 1
-            return task_counter
+        def cost(plan: _ProgramPlan, component: int) -> int:
+            key = (plan.index, component)
+            if key not in costs:
+                program = plan.program
+                costs[key] = sum(
+                    estimate_cost(program.function_named(n), program)
+                    for n in plan.cond.sccs[component]
+                )
+            return costs[key]
 
         def analyze_task(plan: _ProgramPlan, components: list[int]) -> Task:
+            sccs = plan.cond.sccs
             return Task(
-                task_id=next_task_id(),
+                task_id=next(task_ids),
                 kind="analyze",
                 program_index=plan.index,
                 program_name=plan.item.name,
-                functions=[n for m in components for n in plan.pending[m]],
+                functions=[n for m in components for n in sccs[m]],
                 components=components,
-                cost=sum(plan.costs[m] for m in components),
-                attempts={
-                    n: plan.crash_attempts.get(m, 0)
+                work=[
+                    (
+                        sccs[m],
+                        {
+                            c: plan.summaries[c]
+                            for c in plan.externals[m]
+                            if c in plan.summaries
+                        },
+                    )
                     for m in components
-                    for n in plan.pending[m]
+                ],
+                cost=sum(cost(plan, m) for m in components),
+                attempts={
+                    n: plan.crash_attempts.get(m, 0) for m in components for n in sccs[m]
                 },
             )
 
         def simulate_task(plan: _ProgramPlan) -> Task:
             return Task(
-                task_id=next_task_id(),
+                task_id=next(task_ids),
                 kind="simulate",
                 program_index=plan.index,
                 program_name=plan.item.name,
                 attempts={SIMULATE_TOKEN: plan.sim_attempts},
             )
 
+        #: key -> components of other programs waiting for the one task
+        #: computing it (content-identical components are computed once)
+        claimed: dict[str, list[tuple[_ProgramPlan, int]]] = {}
+
         def make_tasks(plan: _ProgramPlan) -> list[Task]:
-            """Pack everything currently ready in ``plan`` into chunk tasks."""
-            if not plan.ready:
-                return []
-            components = sorted(plan.ready)
+            """Pack ``plan``'s probed, missed components into chunk tasks."""
+            components = []
+            for component in plan.ready:
+                key = self._key(plan, component)
+                if key in claimed:
+                    claimed[key].append((plan, component))
+                    continue
+                if key is not None:
+                    claimed[key] = []
+                components.append(component)
             plan.ready = []
-            groups = [(plan.pending[i], plan.costs[i]) for i in components]
+            groups = [(plan.cond.sccs[i], cost(plan, i)) for i in components]
             return [
                 analyze_task(plan, [components[g] for g in chunk])
                 for chunk in pack_chunks(groups)
@@ -507,36 +577,69 @@ class BatchDriver:
         def backoff(attempt: int) -> float:
             return self.retry_backoff_s * (2 ** max(0, attempt - 1))
 
-        with PersistentExecutor(
-            self.jobs,
-            sources,
-            self.options,
-            self.start_method,
-            task_timeout=self.task_timeout,
-            max_respawns=self.max_respawns,
-        ) as executor:
+        states: dict[int, ProgramState] = {}
+
+        def run_inline(task: Task) -> dict:
+            plan = plans[task.program_index]
+            if task.kind == "simulate":
+                return {"simulation": simulate_program(plan.item.source, self.options)}
+            if task.program_index not in states:
+                states.clear()  # one program at a time: its predecessor is done
+                states[task.program_index] = ProgramState(plan.item.source, self.options)
+            state = states[task.program_index]
+            return {
+                "results": [analyze_component(state, m, c) for m, c in task.work]
+            }
+
+        if self.jobs > 1:
+            executor = PersistentExecutor(
+                self.jobs,
+                [plan.item.source for plan in plans],
+                self.options,
+                self.start_method,
+                task_timeout=self.task_timeout,
+                max_respawns=self.max_respawns,
+            )
+        else:
+            executor = InlineExecutor(run_inline)
+        with executor:
             batch.start_method = executor.start_method
             batch.effective_jobs = executor.jobs
 
             def land_and_refill(plan: _ProgramPlan, components: list[int]) -> None:
                 for component in components:
                     plan.land(component)
+                self._probe_ready(plan, batch)
                 for new_task in make_tasks(plan):
                     executor.submit(new_task)
+
+            def land_computed(plan: _ProgramPlan, task: Task, outcomes: list) -> None:
+                for component, outcome in zip(task.components, outcomes):
+                    key = self._record_computed(plan, component, outcome, batch)
+                    for waiter_plan, waiter in claimed.pop(key, ()):
+                        self._record(
+                            waiter_plan, waiter, outcome["artifact"], batch, computed=False
+                        )
+                        land_and_refill(waiter_plan, [waiter])
+                land_and_refill(plan, task.components)
 
             def mark_failed(
                 plan: _ProgramPlan, components: list[int], status: str, detail: str
             ) -> None:
                 """Give every function of ``components`` a failure payload and
-                unblock dependents (their own analyses may still succeed —
-                workers recompute callee summaries from source)."""
+                unblock dependents (their tasks resolve the missing summaries
+                from source)."""
                 for m in components:
-                    for name in plan.pending[m]:
+                    for name in plan.cond.sccs[m]:
                         plan.report.functions[name] = _failure_payload(
                             name, status, detail
                         )
                         if status == "quarantined":
                             batch.resilience.quarantined += 1
+                    # waiters on this component compute it themselves
+                    for waiter_plan, waiter in claimed.pop(self._key(plan, m), ()):
+                        waiter_plan.ready.append(waiter)
+                        land_and_refill(waiter_plan, [])
                 land_and_refill(plan, components)
 
             def bisect_and_resubmit(plan: _ProgramPlan, task: Task, delay: float) -> None:
@@ -545,16 +648,14 @@ class BatchDriver:
                     batch.resilience.retries += 1
                     executor.submit_delayed(analyze_task(plan, half), delay)
 
-            def handle_done(task: Task, result: dict, timing: TaskTiming) -> None:
-                timings.append(timing)
+            def handle_done(task: Task, result: dict, timing: TaskTiming | None) -> None:
+                if timing is not None:
+                    timings.append(timing)
                 plan = plans[task.program_index]
                 if task.kind == "simulate":
                     self._record_simulation(plan, result["simulation"])
                     return
-                for name in task.functions:
-                    self._record_result(plan, name, result["results"][name], batch)
-                land_and_refill(plan, task.components)
-
+                land_computed(plan, task, result["results"])
             def handle_crashed(task: Task, exitcode: int | None) -> None:
                 batch.resilience.worker_crashes += 1
                 plan = plans[task.program_index]
@@ -589,8 +690,8 @@ class BatchDriver:
                     )
                     return
                 self._handle_exhausted(
-                    plan, component, exitcode, executor, batch, land_and_refill,
-                    mark_failed,
+                    plan, analyze_task(plan, [component]), exitcode, executor,
+                    batch, land_computed, mark_failed,
                 )
 
             def handle_timeout(task: Task) -> None:
@@ -654,20 +755,28 @@ class BatchDriver:
                     else:
                         handle_timeout(event.task)
             batch.resilience.worker_respawns = executor.respawns
+        if isinstance(executor, InlineExecutor):
+            # inline work profiles as one task
+            busy = executor.busy_s
+            timings.append(
+                TaskTiming(
+                    0, "inline", "*", batch.analyses_executed, analyze_s=busy, total_s=busy
+                )
+            )
         return timings
 
     # -- escalation: retries exhausted -----------------------------------------
     def _handle_exhausted(
         self,
         plan: _ProgramPlan,
-        component: int,
+        task: Task,
         exitcode: int | None,
         executor: PersistentExecutor,
         batch: BatchReport,
-        land_and_refill,
+        land_computed,
         mark_failed,
     ) -> None:
-        functions = plan.pending[component]
+        (component,) = task.components
         attempts = plan.crash_attempts[component]
         if not self.quarantine:
             mark_failed(
@@ -680,18 +789,11 @@ class BatchDriver:
         # last chance: one run in a throwaway subprocess, so a repeat crash
         # costs nothing but the subprocess
         batch.resilience.sacrificial_runs += 1
-        status, reports = run_sacrificial(
-            executor.ctx,
-            plan.item.source,
-            functions,
-            self.options,
-            {name: attempts for name in functions},
-            self.task_timeout,
+        status, result = run_sacrificial(
+            executor.ctx, plan.item.source, task, self.options, self.task_timeout
         )
         if status == "ok":
-            for name in functions:
-                self._record_result(plan, name, reports[name], batch)
-            land_and_refill(plan, [component])
+            land_computed(plan, task, result["results"])
             return
         if status == "timeout":
             mark_failed(
@@ -710,27 +812,13 @@ class BatchDriver:
                 self.quarantine_dir,
                 plan.item.name,
                 plan.item.source,
-                functions,
+                task.functions,
                 attempts,
                 exitcode,
                 self.options.key(),
             )
             detail += f"; record: {path}"
         mark_failed(plan, [component], "quarantined", detail)
-
-    # -- result bookkeeping ---------------------------------------------------
-    def _record_result(
-        self, plan: _ProgramPlan, name: str, payload: dict, batch: BatchReport
-    ) -> None:
-        plan.report.functions[name] = payload
-        self.cache.put(plan.digests[name], payload)
-        batch.analyses_executed += 1
-
-    def _record_simulation(self, plan: _ProgramPlan, payload: dict) -> None:
-        plan.report.simulation = payload
-        if plan.sim_key is not None:
-            self.cache.put(plan.sim_key, payload, stage="sim")
-        plan.needs_simulation = False
 
     # -- profiling ------------------------------------------------------------
     def _aggregate_profile(self, timings: list[TaskTiming]) -> dict | None:

@@ -1,26 +1,27 @@
 """On-disk, content-addressed artifact store for the staged analysis engine.
 
-Each stage a later run reads (SCC summaries, the fixpoint/validation verdict
-with its loop classes, the assembled report, the simulation, the per-program
-manifest) stores its output as a separately addressed artifact under a
-per-stage subdirectory: ``<dir>/<stage>/<digest>.json``.  A stage's digest
-covers everything that can influence its output: the cache version, the
+The unit of storage is the call-graph component (see
+:mod:`repro.driver.stages`): one checksummed artifact per strongly connected
+component under ``<dir>/summary/<digest>.json``, holding its members'
+summaries, verdicts, loops and transform outcomes.  Two whole-program stages
+sit beside it: ``sim/`` (the machine-simulation report) and ``manifest/``
+(per-program body digests for dirty accounting).  A component's digest
+covers everything that can influence its contents: the cache version, the
 analysis options, the program's type declarations (ADDS information changes
-verdicts), the function's own unparsed AST — and, per the bottom-up
-interprocedural discipline, the *artifact digests* of its direct callees'
-summary stage rather than their bodies.  That indirection is the early-cutoff
-firewall: editing a leaf in a way that leaves its summary artifact
-byte-identical leaves every caller's keys untouched, so callers are reused
-without being re-analyzed.
+verdicts), its members' unparsed ASTs — and, per the bottom-up
+interprocedural discipline, the *summary digests* of its external callees
+rather than their bodies.  That indirection is the early-cutoff firewall:
+editing a leaf in a way that leaves its summary byte-identical leaves every
+caller's key untouched, so callers are reused without being re-analyzed.
 
 Stored payloads are *line-relative* (diagnostic line numbers are rebased to
-the function's first line), so byte-identical function bodies at different
-file offsets share one entry; the driver re-absolutizes on probe.
+each function's first line), so byte-identical components at different file
+offsets share one entry; the driver re-absolutizes on read.
 
 Entries are stored wrapped with a SHA-256 checksum of the canonical-JSON
 payload.  A truncated, garbled, or bit-flipped file — crashed writer, bad
 sector, an overeager ``sed`` — is therefore *detected* at read time, evicted
-from disk, and counted, and the stage is simply recomputed; it can never
+from disk, and counted, and the component is simply recomputed; it can never
 feed a corrupt artifact into a batch.  Reads that raise :class:`OSError`
 (flaky network filesystems) are retried once before being treated as a
 miss.  ``verify()`` audits every stage directory on demand (the ``repro
@@ -34,19 +35,15 @@ import json
 import os
 from pathlib import Path
 
-from repro.lang.ast_nodes import Program
-from repro.lang.pretty import unparse
-
-from repro.driver.callgraph import CallGraph
 from repro.driver.faults import active_plan
 
 #: bump when the per-function report schema or analysis semantics change
 #: (2: parallel-for gained the sequential for's step/descending/re-read
 #: semantics, so cached simulation reports from version 1 may be stale)
-CACHE_VERSION = 7  # v7: loops folded into analysis; no parse/typecheck/transforms
+CACHE_VERSION = 8  # v8: one artifact per call-graph component
 
 #: stage namespaces of the artifact store, one subdirectory each
-STAGES = ("summary", "analysis", "report", "sim", "manifest")
+STAGES = ("summary", "sim", "manifest")
 
 #: the one store subdirectory that holds no checksummed artifacts
 QUARANTINE_DIR = "quarantine"
@@ -68,62 +65,36 @@ def program_digest(source: str, options_key: str) -> str:
     return _sha("program", str(CACHE_VERSION), options_key, source)
 
 
-def function_digests(
-    program: Program,
-    graph: CallGraph,
-    options_key: str,
-) -> dict[str, str]:
-    """Per-function cache keys: own AST hash + transitive callee body hashes.
-
-    This is the *legacy* (parallel-path) keying: callee bodies, not summary
-    digests, so editing a leaf invalidates its whole caller chain.  The
-    staged engine's keys (see :mod:`repro.driver.stages`) firewall callers
-    through callee summary artifacts instead.  Stored payloads are
-    line-relative, so the function's file offset is deliberately *not* an
-    ingredient — byte-identical bodies at different offsets share one entry.
-    """
-    types_src = "\n".join(unparse(t) for t in program.types)
-    unparsed = {f.name: unparse(f) for f in program.functions}
-    body_digests = {name: _sha("body", src) for name, src in unparsed.items()}
-    digests: dict[str, str] = {}
-    for func in program.functions:
-        callees = sorted(graph.transitive_callees(func.name))
-        callee_part = ";".join(
-            f"{c}:{body_digests.get(c, '?')}" for c in callees
-        )
-        digests[func.name] = _sha(
-            "function",
-            str(CACHE_VERSION),
-            options_key,
-            types_src,
-            unparsed[func.name],
-            callee_part,
-        )
-    return digests
-
-
 class CorruptEntryError(ValueError):
     """A cache file failed its integrity check."""
+
+
+def _canonical(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True)
+
+
+def _checksum(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def payload_digest(payload: dict) -> str:
     """SHA-256 of the canonical JSON of ``payload``.
 
-    Doubles as the integrity checksum of stored entries and as the artifact
-    digest callers fold into their own stage keys (the firewall test is
-    "is the callee's artifact byte-identical?" — i.e. digest-identical).
+    Doubles as the integrity checksum of stored entries and as the summary
+    digest callers fold into their own keys (the firewall test is "is the
+    callee's summary byte-identical?" — i.e. digest-identical).
     """
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return _checksum(_canonical(payload))
 
 
 def encode_entry(payload: dict) -> str:
-    """Wrap ``payload`` with its checksum for on-disk storage."""
-    return json.dumps(
-        {"sha256": payload_digest(payload), "payload": payload},
-        indent=1,
-        sort_keys=True,
-    )
+    """Wrap ``payload`` with its checksum for on-disk storage.
+
+    The payload is encoded once, in canonical form: the checksum is taken
+    over exactly the text written, which :func:`decode_entry` re-derives.
+    """
+    canonical = _canonical(payload)
+    return f'{{"payload": {canonical}, "sha256": "{_checksum(canonical)}"}}'
 
 
 def decode_entry(text: str) -> dict:
@@ -145,8 +116,7 @@ class ResultCache:
 
     ``directory=None`` disables the store (every lookup misses, nothing is
     written) so the driver code has a single code path.  All read/write
-    methods take a ``stage`` namespace; the default ``"report"`` stage keeps
-    the legacy single-blob callers working unchanged.
+    methods take a ``stage`` namespace.
     """
 
     def __init__(self, directory: str | Path | None):
@@ -158,9 +128,7 @@ class ResultCache:
         self.io_retries = 0  # reads that failed once and were retried
         #: per-stage {"hits", "misses", "writes"} counters
         self.stage_counters: dict[str, dict[str, int]] = {}
-        #: payloads already read (or written) this run, keyed (stage, key);
-        #: ``preload`` fills it in bulk so the scheduler's per-function
-        #: probes are dict lookups
+        #: payloads already read (or written) this run, keyed (stage, key)
         self._memory: dict[tuple[str, str], dict] = {}
         #: per-key read-attempt counts (drives deterministic transient-I/O
         #: fault injection; harmless bookkeeping otherwise)
@@ -210,28 +178,7 @@ class ResultCache:
                 return None
         return None
 
-    def preload(self, keys, stage: str = "report") -> int:
-        """Bulk-load ``keys`` into the in-memory layer; returns how many hit.
-
-        The batch scheduler probes every function of a corpus up front; one
-        preload turns those probes (and a fully warm re-run) into dict
-        lookups instead of per-function file reads.  Counts neither hits nor
-        misses — the probes themselves do, via :meth:`get`.
-        """
-        if self.directory is None:
-            return 0
-        loaded = 0
-        for key in keys:
-            if (stage, key) in self._memory:
-                loaded += 1
-                continue
-            payload = self._load(key, stage)
-            if payload is not None:
-                self._memory[(stage, key)] = payload
-                loaded += 1
-        return loaded
-
-    def get(self, key: str, stage: str = "report") -> dict | None:
+    def get(self, key: str, stage: str = "summary") -> dict | None:
         counters = self._counters(stage)
         if self.directory is None:
             self.misses += 1
@@ -252,8 +199,10 @@ class ResultCache:
         counters["hits"] += 1
         return payload
 
-    def put(self, key: str, payload: dict, stage: str = "report") -> None:
-        if self.directory is None:
+    def put(self, key: str, payload: dict, stage: str = "summary") -> None:
+        """Store ``payload``; a payload equal to the one this run already
+        read or wrote under ``key`` is not rewritten."""
+        if self.directory is None or self._memory.get((stage, key)) == payload:
             return
         self._memory[(stage, key)] = payload
         path = self._path(key, stage)

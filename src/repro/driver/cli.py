@@ -26,7 +26,6 @@ Examples::
     python -m repro analyze examples/corpus/list_sum.ptr --format json
     python -m repro analyze --corpus paper --task-timeout 60 --max-retries 3
     python -m repro analyze --corpus paper --inject-faults 'crash:rate=0.1,seed=7'
-    python -m repro analyze --corpus builtin --incremental
     python -m repro corpus
     python -m repro cache stats
     python -m repro cache verify --evict
@@ -85,15 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "worker processes (default: cpu count capped at 8, here "
             f"{default_jobs()}; 1 runs inline with no worker pool)"
-        ),
-    )
-    analyze.add_argument(
-        "--incremental",
-        action="store_true",
-        help=(
-            "run the staged incremental engine (implies --jobs 1): reuse "
-            "per-stage artifacts from the cache across runs and report "
-            "reused/firewalled/recomputed counts"
         ),
     )
     analyze.add_argument(
@@ -393,10 +383,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         # workers (fork and spawn both) inherit the environment
         os.environ[FAULTS_ENV_VAR] = args.inject_faults
 
-    if args.incremental:
-        # the staged engine is the inline path; the artifact store is what
-        # carries state between runs, so jobs>1 would be the legacy scheme
-        args.jobs = 1
     cache_dir = None if args.no_cache else args.cache_dir
     quarantine_dir = args.quarantine_dir
     if quarantine_dir is None and cache_dir is not None:

@@ -1,10 +1,8 @@
 """Persistent-worker execution for the batch driver, fault-tolerant edition.
 
-The PR-6 executor wrapped :class:`concurrent.futures.ProcessPoolExecutor`,
-which has an all-or-nothing failure model: one worker death breaks the whole
-pool, fails every in-flight future, and the only safe response is to abort
-the batch.  This module manages its own workers so partial failure stays
-partial:
+A :class:`concurrent.futures.ProcessPoolExecutor` has an all-or-nothing
+failure model: one worker death breaks the whole pool.  This module manages
+its own workers so partial failure stays partial:
 
 * **one process + one pipe per worker** — the coordinator knows exactly
   which task each worker holds, so a dead worker indicts *its* task only;
@@ -19,12 +17,14 @@ partial:
   chunk in a throwaway subprocess so a poison task can be confirmed without
   risking a pool worker.
 
-Everything the PR-6 executor got right is kept: workers are created once per
-batch run (forked where possible, inheriting the coordinator's parsed-program
-cache copy-on-write), tasks carry compact payloads (program index + function
-names), results return as plain dicts, tiny functions are packed into
-cost-balanced chunks, and every task records a queue-wait/parse/analyze/
-transfer timing breakdown.
+Workers are created once per batch run (forked where possible, inheriting
+the coordinator's parsed-program cache copy-on-write), tasks carry compact
+payloads (program index + the components to compute, with their callees'
+summary payloads), results return as plain dicts, small components are
+packed into cost-balanced chunks, and every task records a queue-wait/
+parse/analyze/transfer timing breakdown.  :class:`InlineExecutor` speaks
+the same submit/poll protocol in the calling process — the ``jobs=1``
+backend.
 
 Scheduling (who is runnable when) lives in :mod:`repro.driver.batch`; this
 module only knows how to run chunks on warm workers and keep the pool alive.
@@ -36,18 +36,13 @@ import multiprocessing
 import os
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.lang.ast_nodes import FunctionDecl, Program, collect_pointer_variables, iter_statements
 
 from repro.driver.faults import SIMULATE_TOKEN, FAULT_CRASH_EXIT, active_plan
-from repro.driver.pipeline import (
-    PipelineOptions,
-    analysis_for,
-    analyze_function_job,
-    parsed_program,
-    simulate_program,
-)
+from repro.driver.pipeline import PipelineOptions, simulate_program
+from repro.driver.stages import analyze_component, program_state
 
 #: ``--jobs`` never defaults above this many workers
 MAX_DEFAULT_JOBS = 8
@@ -143,7 +138,7 @@ def pack_chunks(
 # -- task and result shapes ---------------------------------------------------
 @dataclass
 class Task:
-    """One unit of pool work: analyze a chunk of functions, or simulate."""
+    """One unit of pool work: compute a chunk of components, or simulate."""
 
     task_id: int
     kind: str  # "analyze" | "simulate"
@@ -153,11 +148,18 @@ class Task:
     #: coordinator-side bookkeeping: the call-graph components this chunk
     #: covers (landing them may unblock dependents)
     components: list[int] = field(default_factory=list)
+    #: per component: its members and its external callees' summary payloads
+    work: list[tuple[list[str], dict]] = field(default_factory=list)
     cost: int = 0
     #: per-function attempt numbers (how many times a task holding the
     #: function already died) — deterministic fault injection keys off these
     attempts: dict[str, int] = field(default_factory=dict)
     submitted_at: float = 0.0
+
+    def payload(self, program_index: int | None = None) -> tuple:
+        """What a worker receives (sources were shipped once, at start-up)."""
+        index = self.program_index if program_index is None else program_index
+        return (self.task_id, self.kind, index, self.work, self.attempts)
 
 
 @dataclass
@@ -173,28 +175,16 @@ class TaskTiming:
     kind: str
     program: str
     functions: int
-    cost: int
-    worker_pid: int
-    queue_wait_s: float  # submit -> worker picked it up (incl. task pickling)
-    parse_s: float  # worker-side program warm-up (parse + summaries); 0 when inherited
-    analyze_s: float  # worker-side pipeline work
-    transfer_s: float  # worker finish -> coordinator receipt (result pickling + queue)
-    total_s: float  # submit -> coordinator receipt
+    cost: int = 0
+    worker_pid: int = 0
+    queue_wait_s: float = 0.0  # submit -> worker picked it up (incl. task pickling)
+    parse_s: float = 0.0  # worker-side program warm-up (parse + typecheck); 0 when warm
+    analyze_s: float = 0.0  # worker-side pipeline work
+    transfer_s: float = 0.0  # worker finish -> receipt (result pickling + queue)
+    total_s: float = 0.0  # submit -> coordinator receipt
 
     def to_dict(self) -> dict:
-        return {
-            "task_id": self.task_id,
-            "kind": self.kind,
-            "program": self.program,
-            "functions": self.functions,
-            "cost": self.cost,
-            "worker_pid": self.worker_pid,
-            "queue_wait_s": self.queue_wait_s,
-            "parse_s": self.parse_s,
-            "analyze_s": self.analyze_s,
-            "transfer_s": self.transfer_s,
-            "total_s": self.total_s,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -241,7 +231,7 @@ def _maybe_inject(token: str, attempt: int) -> None:
 
 def _run_task(payload: tuple) -> dict:
     """Worker-side execution of one task payload."""
-    task_id, kind, program_index, program_name, functions, attempts = payload
+    task_id, kind, program_index, work, attempts = payload
     started = time.perf_counter()
     source = _WORKER_SOURCES[program_index]
     options = _WORKER_OPTIONS
@@ -258,13 +248,13 @@ def _run_task(payload: tuple) -> dict:
         result["simulation"] = simulate_program(source, options)
     else:
         warm_start = time.perf_counter()
-        analysis_for(source, options)  # parse + summaries, memoized per worker
+        state = program_state(source, options)
         result["parse_s"] = time.perf_counter() - warm_start
-        reports: dict[str, dict] = {}
-        for name in functions:
-            _maybe_inject(name, attempts.get(name, 0))
-            reports[name] = analyze_function_job(source, name, options)
-        result["results"] = reports
+        result["results"] = []
+        for members, callees in work:
+            for name in members:
+                _maybe_inject(name, attempts.get(name, 0))
+            result["results"].append(analyze_component(state, members, callees))
     result["finished"] = time.perf_counter()
     return result
 
@@ -293,20 +283,17 @@ def _worker_main(conn, sources: list[str], options: PipelineOptions) -> None:
             return
 
 
-def _sacrificial_main(conn, source, functions, options, attempts) -> None:
+def _sacrificial_main(conn, source, payload, options) -> None:
     """Entry point of the throwaway single-task verification subprocess.
 
-    Runs the same per-function loop as a pool worker — including fault
+    Runs the task exactly as a pool worker would — including fault
     injection, so a poison task still behaves like poison here — but nothing
     shares its fate: if it dies, only this process dies.
     """
     _init_worker([source], options)
-    reports: dict[str, dict] = {}
-    for name in functions:
-        _maybe_inject(name, attempts.get(name, 0))
-        reports[name] = analyze_function_job(source, name, options)
+    result = _run_task(payload)
     try:
-        conn.send(reports)
+        conn.send(result)
     except (BrokenPipeError, OSError):
         pass
 
@@ -314,21 +301,20 @@ def _sacrificial_main(conn, source, functions, options, attempts) -> None:
 def run_sacrificial(
     ctx,
     source: str,
-    functions: list[str],
+    task: Task,
     options: PipelineOptions,
-    attempts: dict[str, int],
     timeout: float | None,
 ) -> tuple[str, dict | None]:
-    """Run one suspect chunk in a throwaway subprocess.
+    """Run one suspect task in a throwaway subprocess.
 
-    Returns ``("ok", reports)`` when the chunk completes, ``("crashed",
+    Returns ``("ok", result)`` when the task completes, ``("crashed",
     None)`` when the subprocess dies, ``("timeout", None)`` when it blows
     ``timeout`` seconds (it is then killed).
     """
     parent, child = ctx.Pipe()
     proc = ctx.Process(
         target=_sacrificial_main,
-        args=(child, source, functions, options, attempts),
+        args=(child, source, task.payload(program_index=0), options),
         daemon=True,
     )
     proc.start()
@@ -337,7 +323,7 @@ def run_sacrificial(
     try:
         if not parent.poll(budget):
             return ("timeout", None)
-        reports = parent.recv()
+        result = parent.recv()
     except (EOFError, OSError):
         return ("crashed", None)
     finally:
@@ -345,7 +331,7 @@ def run_sacrificial(
             proc.kill()
         proc.join(5)
         parent.close()
-    return ("ok", reports)
+    return ("ok", result)
 
 
 # -- coordinator side ---------------------------------------------------------
@@ -474,16 +460,8 @@ class PersistentExecutor:
                 continue
             task = self._backlog.popleft()
             task.submitted_at = now
-            payload = (
-                task.task_id,
-                task.kind,
-                task.program_index,
-                task.program_name,
-                task.functions,
-                task.attempts,
-            )
             try:
-                worker.conn.send(payload)
+                worker.conn.send(task.payload())
             except (BrokenPipeError, OSError):
                 self._backlog.appendleft(task)
                 self._replace_worker(worker, kill=False)
@@ -622,13 +600,44 @@ class PersistentExecutor:
         self.shutdown()
 
 
-def warm_parsed_programs(sources: list[str]) -> None:
-    """Parse every source into the coordinator's program cache (pre-fork
-    warm-up: forked workers inherit the cache instead of re-parsing)."""
-    from repro.lang.errors import LangError
+class InlineExecutor:
+    """The ``jobs=1`` backend: :class:`PersistentExecutor`'s submit/poll
+    protocol, run in the calling process by ``run(task) -> result``.
 
-    for source in sources:
-        try:
-            parsed_program(source)
-        except LangError:
-            pass  # planning reports parse errors per program
+    Tasks run one at a time, lowest program first, so one program's work
+    finishes before the next one's starts.  Nothing here can crash or time
+    out apart from the caller, so every event is ``done``, and worker-side
+    faults are not injected.
+    """
+
+    jobs = 1
+    start_method = None
+    respawns = 0
+
+    def __init__(self, run):
+        self._run = run
+        self._backlog: list[Task] = []
+        #: wall time spent running tasks
+        self.busy_s = 0.0
+
+    def submit(self, task: Task) -> None:
+        self._backlog.append(task)
+
+    def submit_delayed(self, task: Task, delay_s: float) -> None:
+        self.submit(task)
+
+    def poll(self) -> list[WorkerEvent]:
+        if not self._backlog:
+            return []
+        task = min(self._backlog, key=lambda t: (t.program_index, t.task_id))
+        self._backlog.remove(task)
+        started = time.perf_counter()
+        result = self._run(task)
+        self.busy_s += time.perf_counter() - started
+        return [WorkerEvent(kind="done", task=task, result=result)]
+
+    def __enter__(self) -> "InlineExecutor":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._backlog.clear()

@@ -265,20 +265,23 @@ def load_quarantine_record(path: str | Path) -> dict:
 
 
 def replay_quarantine_record(path: str | Path, options=None) -> dict[str, str]:
-    """Re-run a quarantined task's analyses inline; returns name -> outcome.
+    """Re-run a quarantined component inline; returns name -> outcome.
 
-    If the poison was environmental (an injected fault, a since-fixed OOM)
-    the replay completes and reports per-function outcomes; if the analysis
-    itself is the killer, the replay reproduces the crash in-process, under
-    whatever debugger the caller attached — which is the point.
+    The replay runs the same component routine a pool worker runs, with the
+    callees' summaries resolved from the recorded source.  If the poison was
+    environmental (an injected fault, a since-fixed OOM) the replay
+    completes and reports per-function outcomes; if the analysis itself is
+    the killer, the replay reproduces the crash in-process, under whatever
+    debugger the caller attached — which is the point.
     """
-    from repro.driver.pipeline import PipelineOptions, analyze_function_job
+    from repro.driver.pipeline import PipelineOptions
+    from repro.driver.stages import ProgramState, analyze_component
 
     record = load_quarantine_record(path)
-    options = options or PipelineOptions()
+    state = ProgramState(record["source"], options or PipelineOptions())
+    functions = analyze_component(state, record["functions"], {})["artifact"]["functions"]
     outcomes: dict[str, str] = {}
-    for name in record.get("functions", []):
-        payload = analyze_function_job(record["source"], name, options)
-        error = payload.get("analysis", {}).get("error")
+    for name, entry in functions.items():
+        error = entry["report"]["analysis"].get("error")
         outcomes[name] = f"error: {error}" if error else "ok"
     return outcomes

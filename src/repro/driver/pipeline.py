@@ -1,26 +1,21 @@
 """The end-to-end per-program pipeline the batch driver runs.
 
-Three layers:
+Two layers:
 
 * the **stage functions** (:func:`analysis_payload`, :func:`loops_payload`,
   :func:`transforms_payload`, :func:`assemble_report`) — each computes one
-  step of the staged engine (fixpoint/validation verdict, loop classes,
-  transform applicability, the assembled report) with explicit inputs and
-  outputs;
-* :func:`analyze_function_job` — the unit of parallel fan-out: parse →
-  typecheck → path-matrix fixpoint → ADDS validation → loop classification →
-  transform applicability, for **one function**, returned as a plain
-  JSON-serializable dict (the worker pool and the on-disk cache both speak
-  dicts).  It is a thin composition of the stage functions, so the monolith
-  path and the staged incremental path cannot drift apart.
+  step a call-graph component's task runs (fixpoint/validation verdict,
+  loop classes, transform applicability, the assembled report) with
+  explicit inputs and outputs, as plain JSON-serializable dicts (the worker
+  pool and the on-disk store both speak dicts); the component routine
+  composing them is :func:`repro.driver.stages.analyze_component`;
 * :func:`simulate_program` — the whole-program tail of the pipeline: run
   the original on the reference interpreter, strip-mine every parallelizable
   loop, re-run on the simulated multiprocessor, and report the speedup and
   whether the heaps agree (the paper's semantics-preservation check).
 
-Workers keep a small per-process LRU of parsed programs and analysis
-objects so analyzing the thirty functions of one program does not re-parse
-it thirty times.
+Each process keeps a small LRU of parsed programs so the components of one
+program do not re-parse it once each.
 
 :func:`relativize_report` / :func:`absolutize_report` rebase every source
 line a report mentions against the function's first line, so the store holds
@@ -64,9 +59,8 @@ class PipelineOptions:
         return f"solver={self.solver};adds={self.use_adds};pes={self.pes};entry={self.entry}"
 
 
-# -- per-worker caches --------------------------------------------------------
+# -- per-process caches -------------------------------------------------------
 _PROGRAM_CACHE: "OrderedDict[str, Program]" = OrderedDict()
-_ANALYSIS_CACHE: "OrderedDict[tuple[str, str], PathMatrixAnalysis]" = OrderedDict()
 _CACHE_LIMIT = 64  # comfortably fits the bench corpus (sources are small)
 
 
@@ -85,16 +79,6 @@ def _bounded(cache: OrderedDict, key, factory):
 
 def parsed_program(source: str) -> Program:
     return _bounded(_PROGRAM_CACHE, source, lambda: parse_program(source))
-
-
-def analysis_for(source: str, options: PipelineOptions) -> PathMatrixAnalysis:
-    return _bounded(
-        _ANALYSIS_CACHE,
-        (source, options.key()),
-        lambda: PathMatrixAnalysis(
-            parsed_program(source), use_adds=options.use_adds, memoize_results=True
-        ),
-    )
 
 
 # -- the pipeline stages ------------------------------------------------------
@@ -182,7 +166,7 @@ def assemble_report(
     loop_entries: list[dict],
     transforms: dict,
 ) -> dict:
-    """Compose the stage artifacts into the legacy per-function report."""
+    """Compose the stage outputs into the per-function report."""
     report: dict = {
         "function": function,
         "status": status,
@@ -198,34 +182,6 @@ def assemble_report(
         merged["transforms"] = transforms.get(str(entry["index"]), {})
         report["loops"].append(merged)
     return report
-
-
-# -- the per-function job -----------------------------------------------------
-def analyze_function_job(
-    source: str, function: str, options: PipelineOptions
-) -> dict:
-    """Analyze one function of ``source`` end to end; never raises.
-
-    Unattended batch runs must finish: analysis failures are *reported* (the
-    ``error`` fields) rather than propagated.  This is exactly the stage
-    functions above run back to back, so a report computed here is
-    bit-identical to one the staged engine assembles from cached artifacts.
-    """
-    program = parsed_program(source)
-    analysis = analysis_for(source, options)
-    summary = (
-        analysis.summaries[function].to_dict()
-        if function in analysis.summaries
-        else None
-    )
-    status, analysis_dict = analysis_payload(analysis, function, options)
-    if status != "ok":
-        return assemble_report(function, options, summary, status, analysis_dict, [], {})
-    entries, parallelizable = loops_payload(program, function, analysis, options)
-    transforms = transforms_payload(program, function, parallelizable)
-    return assemble_report(
-        function, options, summary, status, analysis_dict, entries, transforms
-    )
 
 
 def _transform_applicability(program: Program, function: str, index: int) -> dict:

@@ -1,38 +1,33 @@
-"""The staged, summary-firewalled incremental analysis engine.
+"""The staged, summary-firewalled analysis engine: one call-graph component
+per unit of work and per unit of storage.
 
-This is the inline (``jobs=1``) execution path of the batch driver, rebuilt
-as a two-phase walk over the call graph's SCC condensation in which every
-pipeline stage is a separately content-addressed artifact (see
-:mod:`repro.driver.cache` for the store and docs/incremental.md for the
-soundness argument):
+The paper's analysis runs bottom-up over the call graph: it finishes one
+strongly connected component at a time, and callers read only their
+callees' summaries.  The engine follows that structure exactly.
 
-**Phase 1 — bottom-up summary resolution.**  For each component (callees
-first), probe the ``summary`` stage under a key covering the members' bodies
-and the *artifact digests* of their already-resolved external callees.  On a
-hit the summaries (effects, ``preserves_abstraction``, inferred return type)
-are reinterned without running anything; on a miss they are recomputed with
-:func:`~repro.pathmatrix.interproc.summarize_scc` + preservation refinement
-and stored.  Either way each member gets an **artifact digest** — the hash
-of its summary payload — which is the only thing callers may key on.
+**A task computes one component** (:func:`analyze_component`).  Given the
+summary payloads of the component's external callees, it resolves the
+members' summaries (:func:`~repro.pathmatrix.interproc.summarize_scc` plus
+preservation refinement), then runs each member's fixpoint/validation
+stage, loop classification and transform applicability.  The same routine
+runs inline (``jobs=1``) and in pool workers (``jobs>1``); the batch driver
+(:mod:`repro.driver.batch`) schedules a component the moment its callees
+have landed, and does all store probing and writing itself.
 
-**Phase 2 — per-function stage assembly.**  A function's stage keys cover
-its own body, its own summary artifact, and its direct callees' artifact
-digests — *not* their bodies.  That indirection is the early-cutoff
-firewall: an edit that leaves a callee's summary artifact byte-identical
-leaves every caller's keys untouched, so callers are reused unrun.  The
-``report`` stage caches the assembled legacy report.  On a report miss the
-``analysis`` artifact (fixpoint + validation verdict plus the loop classes)
-is probed; transform applicability is recomputed from its parallelizable
-loops, which solves no fixpoint.  So an evicted report is reassembled from
-an intact analysis artifact without solving anything.  Only artifacts a
-later run reads are written: the summary, analysis, report and manifest
-stages (plus ``sim``, written by the batch driver).
-
-Two-phase commit: phase 1 settles *every* summary artifact of a component
-before any phase-2 (or caller phase-1) key is formed, so a changed
-function's new summary digest is always compared against its callers' cached
-inputs — there is no window where a caller could be firewalled against a
-stale summary.
+**The store holds one artifact per component** (the ``summary`` stage of
+:mod:`repro.driver.cache`), under a key (:func:`component_key`) covering the
+members' bodies and the *summary digests* of their external callees — not
+the callees' bodies.  That indirection is the early-cutoff firewall: an
+edit that leaves a callee's summary byte-identical leaves every caller's key
+untouched, so callers are reused unrun.  Every input of a member's
+analysis, loops and transforms is a function of those key inputs, except
+one: the transforms pick collision-free fresh names against the program's
+function-name set.  So the artifact tags its transform outcomes with the
+digest of the name set they were computed under, and a program with a
+different name set recomputes them from the stored parallelizable loops,
+which solves no fixpoint.  Reports are assembled from the artifact on every
+read (:func:`component_reports`), whether it was just computed or found in
+the store, so a cold and a warm run cannot disagree.
 
 Stored payloads are line-relative (see
 :func:`~repro.driver.pipeline.relativize_report`); everything the engine
@@ -41,27 +36,28 @@ returns to the report is absolute.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import asdict, dataclass, fields
 
 from repro.lang.ast_nodes import Program
-from repro.lang.pretty import unparse
 from repro.lang.typecheck import inferred_return_type
 from repro.pathmatrix.analysis import PathMatrixAnalysis, fixpoint_run_count
 from repro.pathmatrix.interproc import (
     FunctionSummary,
     _call_argument_map,
-    direct_summaries,
     summarize_scc,
 )
 
-from repro.driver.cache import CACHE_VERSION, ResultCache, _sha, payload_digest
-from repro.driver.callgraph import CallGraph, Condensation
+from repro.driver.cache import CACHE_VERSION, _sha, payload_digest
+from repro.driver.callgraph import build_call_graph, condense
 from repro.driver.pipeline import (
     PipelineOptions,
+    _bounded,
     absolutize_report,
     analysis_payload,
     assemble_report,
     loops_payload,
+    parsed_program,
     relativize_report,
     transforms_payload,
 )
@@ -69,14 +65,15 @@ from repro.driver.pipeline import (
 
 @dataclass
 class IncrementalStats:
-    """What one staged run reused, recomputed, and firewalled."""
+    """What one run reused, recomputed, and firewalled."""
 
-    #: functions served without running a fixpoint (report hit or reassembled)
+    #: functions served from an artifact no task of theirs computed (stored,
+    #: or computed this run for a content-identical component)
     reused: int = 0
-    #: reused functions some *transitive callee body* of which changed — the
-    #: legacy body-keyed scheme would have re-analyzed these
+    #: reused functions some *transitive callee body* of which changed — a
+    #: body-keyed scheme would have re-analyzed these
     firewalled: int = 0
-    #: functions whose fixpoint/validation stage actually ran
+    #: functions whose component a task computed
     recomputed: int = 0
     #: functions whose own body changed since the last run (per the manifest)
     dirty: int = 0
@@ -93,204 +90,171 @@ class IncrementalStats:
         return asdict(self)
 
 
-class StagedEngine:
-    """Run the staged pipeline for one program against an artifact store."""
+# -- keys ---------------------------------------------------------------------
+def names_tag(program: Program) -> str:
+    """Digest of the program's function-name set, which the transforms'
+    fresh-name synthesis reads."""
+    return _sha("names", ",".join(sorted(f.name for f in program.functions)))
 
-    def __init__(self, cache: ResultCache, options: PipelineOptions):
-        self.cache = cache
+
+def component_key(
+    options_key: str,
+    types_src: str,
+    members: list[tuple[str, str]],
+    callees: list[tuple[str, str]],
+) -> str:
+    """Store key of one component: ``members`` as ``(name, body digest)``
+    and its external ``callees`` as ``(name, summary digest)``, sorted."""
+    return _sha(
+        "summary",
+        str(CACHE_VERSION),
+        options_key,
+        types_src,
+        ";".join(f"{n}={d}" for n, d in members),
+        ";".join(f"{c}={d}" for c, d in callees),
+    )
+
+
+def summary_digest(name: str, entry: dict) -> str:
+    """What callers key on: a function's summary and inferred return type
+    (callers' environments are inferred from it)."""
+    return payload_digest(
+        {"function": name, "summary": entry["summary"], "return_type": entry["return_type"]}
+    )
+
+
+def first_lines(program: Program) -> dict[str, int]:
+    return {f.name: f.line or 1 for f in program.functions}
+
+
+# -- the component routine -------------------------------------------------------
+class ProgramState:
+    """One process's working state for one program: its parse and call
+    graph, and one memoizing analysis whose summary table fills component by
+    component."""
+
+    def __init__(self, source: str, options: PipelineOptions):
+        self.program = parsed_program(source)
         self.options = options
-
-    def run(
-        self,
-        name: str,
-        program: Program,
-        graph: CallGraph,
-        cond: Condensation,
-        functions_out: dict[str, dict],
-        on_reused=None,
-        on_recomputed=None,
-    ) -> IncrementalStats:
-        """Fill ``functions_out`` with per-function reports (absolute lines).
-
-        ``on_reused``/``on_recomputed`` are per-function callbacks for the
-        batch driver's counters (``cache_hits``/``analyses_executed``).
-        """
-        stats = IncrementalStats()
-        opts = self.options.key()
-        version = str(CACHE_VERSION)
-        types_src = "\n".join(unparse(t) for t in program.types)
-        bodies = {f.name: unparse(f) for f in program.functions}
-        body_digest = {n: _sha("body", src) for n, src in bodies.items()}
-        base_line = {f.name: (f.line or 1) for f in program.functions}
-        #: collision-avoiding fresh names in the transforms depend on the
-        #: program's whole function-name set, so it keys the report stage
-        names_blob = ",".join(sorted(bodies))
-
-        # the manifest of the previous run, for dirty accounting
-        manifest_key = _sha("manifest", version, opts, name)
-        old_manifest = self.cache.get(manifest_key, stage="manifest")
-        if old_manifest is None:
-            dirty = set(bodies)
-        else:
-            previous = old_manifest.get("functions", {})
-            dirty = {
-                n
-                for n in bodies
-                if previous.get(n, {}).get("body") != body_digest[n]
-            }
-        stats.dirty = len(dirty)
-
-        def touches_dirty(function: str) -> bool:
-            return function not in dirty and bool(
-                graph.transitive_callees(function) & dirty
-            )
-
-        # -- phase 1: bottom-up summary resolution over the condensation -----
-        table: dict[str, FunctionSummary] = {}
-        analysis = PathMatrixAnalysis(
-            program,
-            use_adds=self.options.use_adds,
+        self.graph = build_call_graph(self.program)
+        self.sccs = condense(self.graph).sccs
+        self.call_maps = _call_argument_map(self.program)
+        self.names = names_tag(self.program)
+        self.lines = first_lines(self.program)
+        self.analysis = PathMatrixAnalysis(
+            self.program,
+            use_adds=options.use_adds,
             memoize_results=True,
-            summaries=table,
+            summaries={},
         )
-        direct = direct_summaries(program)
-        call_maps = _call_argument_map(program)
-        art_digest: dict[str, str] = {}
-        fixpoints_before = fixpoint_run_count()
 
-        def artifact(n: str, summary_dict: dict, rt: str | None) -> str:
-            return payload_digest(
-                {"function": n, "summary": summary_dict, "return_type": rt}
+    def entry(self, name: str) -> dict:
+        """The summary payload callers of ``name`` read."""
+        return {
+            "summary": self.analysis.summaries[name].to_dict(),
+            "return_type": inferred_return_type(
+                self.program, self.analysis.check_result, name
+            ),
+        }
+
+
+#: pool workers' program states, one per (source, options)
+_STATE_CACHE: "OrderedDict[tuple[str, str], ProgramState]" = OrderedDict()
+
+
+def program_state(source: str, options: PipelineOptions) -> ProgramState:
+    return _bounded(
+        _STATE_CACHE, (source, options.key()), lambda: ProgramState(source, options)
+    )
+
+
+def analyze_component(state: ProgramState, members: list[str], callees: dict) -> dict:
+    """Compute one component from its external callees' summary payloads.
+
+    Returns ``{"artifact", "resolved", "fixpoints"}``: the line-relative
+    artifact the store keeps, the summary payloads of external callees that
+    came without one (their own component failed; they are resolved here
+    from source, so callers of a failed component still complete), and the
+    number of fixpoints solved.
+    """
+    program, analysis = state.program, state.analysis
+    table = analysis.summaries
+    for name, entry in callees.items():
+        if name not in table:
+            table[name] = FunctionSummary.from_dict(entry["summary"])
+    fixpoints_before = fixpoint_run_count()
+    member_set = set(members)
+    unshipped = sorted(
+        {c for n in members for c in state.graph.callees(n)} - member_set - set(callees)
+    )
+    if unshipped:
+        _resolve_below(state, member_set)
+    table.update(summarize_scc(program, members, table, call_maps=state.call_maps))
+    analysis.refine_preservation(members)
+
+    functions = {}
+    for fn in members:
+        status, analysis_dict = analysis_payload(analysis, fn, state.options)
+        loops, parallelizable = [], []
+        if status == "ok":
+            loops, parallelizable = loops_payload(program, fn, analysis, state.options)
+        verdict = {
+            "status": status,
+            "analysis": analysis_dict,
+            "loops": loops,
+            "parallelizable": parallelizable,
+            "transforms": transforms_payload(program, fn, parallelizable),
+        }
+        functions[fn] = {
+            **state.entry(fn),
+            "report": relativize_report(verdict, state.lines[fn]),
+        }
+    return {
+        "artifact": {"names": state.names, "functions": functions},
+        "resolved": {c: state.entry(c) for c in unshipped},
+        "fixpoints": fixpoint_run_count() - fixpoints_before,
+    }
+
+
+def _resolve_below(state: ProgramState, members: set[str]) -> None:
+    """Resolve, bottom-up from source, every component below ``members``
+    whose summaries are not in the table yet."""
+    table = state.analysis.summaries
+    below = set().union(*(state.graph.transitive_callees(n) for n in members)) - members
+    for scc in state.sccs:
+        if below.intersection(scc) and any(n not in table for n in scc):
+            table.update(
+                summarize_scc(state.program, scc, table, call_maps=state.call_maps)
             )
+            state.analysis.refine_preservation(scc)
 
-        for members in cond.sccs:
-            scc_blob = ";".join(f"{n}={body_digest[n]}" for n in members)
-            member_set = set(members)
-            externals = sorted(
-                {
-                    c
-                    for n in members
-                    for c in graph.callees(n)
-                    if c not in member_set
-                }
-            )
-            ext_blob = ";".join(f"{c}={art_digest[c]}" for c in externals)
-            skey = _sha("summary", version, opts, types_src, scc_blob, ext_blob)
-            cached = self.cache.get(skey, stage="summary")
-            if cached is not None:
-                for n in members:
-                    entry = cached["functions"][n]
-                    table[n] = FunctionSummary.from_dict(entry["summary"])
-                    art_digest[n] = artifact(n, entry["summary"], entry["return_type"])
-                stats.summaries_reused += len(members)
-                continue
-            resolved = summarize_scc(
-                program, members, table, direct=direct, call_maps=call_maps
-            )
-            table.update(resolved)
-            analysis.refine_preservation(members)
-            payload: dict = {"functions": {}}
-            for n in members:
-                rt = inferred_return_type(program, analysis.check_result, n)
-                summary_dict = table[n].to_dict()
-                payload["functions"][n] = {
-                    "summary": summary_dict,
-                    "return_type": rt,
-                }
-                art_digest[n] = artifact(n, summary_dict, rt)
-            self.cache.put(skey, payload, stage="summary")
-            stats.summaries_recomputed += len(members)
 
-        # -- phase 2: per-function stage probe / compute / assemble -----------
-        for members in cond.sccs:
-            for fn in members:
-                callee_blob = ";".join(
-                    f"{c}={art_digest[c]}" for c in sorted(graph.callees(fn))
-                )
-                base = (
-                    version,
-                    opts,
-                    types_src,
-                    bodies[fn],
-                    art_digest[fn],
-                    callee_blob,
-                )
-                line = base_line[fn]
-                rkey = _sha("report", *base, names_blob)
-                cached_report = self.cache.get(rkey, stage="report")
-                if cached_report is not None:
-                    functions_out[fn] = absolutize_report(cached_report, line)
-                    stats.reused += 1
-                    if touches_dirty(fn):
-                        stats.firewalled += 1
-                    if on_reused is not None:
-                        on_reused(fn)
-                    continue
+def component_reports(
+    artifact: dict,
+    program: Program,
+    names: str,
+    lines: dict[str, int],
+    options: PipelineOptions,
+) -> dict[str, dict]:
+    """The absolute per-function reports of one component artifact.
 
-                akey = _sha("analysis", *base)
-                cached_a = self.cache.get(akey, stage="analysis")
-                if cached_a is not None:
-                    verdict = absolutize_report(cached_a, line)
-                else:
-                    status, analysis_dict = analysis_payload(
-                        analysis, fn, self.options
-                    )
-                    entries, parallelizable = [], []
-                    if status == "ok":
-                        entries, parallelizable = loops_payload(
-                            program, fn, analysis, self.options
-                        )
-                    verdict = {
-                        "status": status,
-                        "analysis": analysis_dict,
-                        "loops": entries,
-                        "parallelizable": parallelizable,
-                    }
-                    self.cache.put(
-                        akey, relativize_report(verdict, line), stage="analysis"
-                    )
-                # transform applicability runs no fixpoint, so it is recomputed
-                # on every report miss rather than stored on its own
-                transforms = transforms_payload(
-                    program, fn, verdict["parallelizable"]
-                )
-
-                summary_payload = table[fn].to_dict() if fn in table else None
-                assembled = assemble_report(
-                    fn,
-                    self.options,
-                    summary_payload,
-                    verdict["status"],
-                    verdict["analysis"],
-                    verdict["loops"],
-                    transforms,
-                )
-                functions_out[fn] = assembled
-                self.cache.put(
-                    rkey, relativize_report(assembled, line), stage="report"
-                )
-                if cached_a is None:
-                    stats.recomputed += 1
-                    if on_recomputed is not None:
-                        on_recomputed(fn)
-                else:
-                    # reassembled from an intact analysis artifact — no solve ran
-                    stats.reused += 1
-                    if touches_dirty(fn):
-                        stats.firewalled += 1
-                    if on_reused is not None:
-                        on_reused(fn)
-
-        # commit the manifest for the next run's dirty accounting
-        self.cache.put(
-            manifest_key,
-            {
-                "functions": {
-                    n: {"body": body_digest[n], "summary": art_digest[n]}
-                    for n in sorted(bodies)
-                }
-            },
-            stage="manifest",
+    ``names`` is the program's :func:`names_tag` and ``lines`` its
+    :func:`first_lines`.  Transform outcomes computed under another
+    function-name set are recomputed from the stored parallelizable loops.
+    """
+    reports = {}
+    for fn, entry in artifact["functions"].items():
+        verdict = absolutize_report(entry["report"], lines[fn])
+        transforms = verdict["transforms"]
+        if artifact["names"] != names:
+            transforms = transforms_payload(program, fn, verdict["parallelizable"])
+        reports[fn] = assemble_report(
+            fn,
+            options,
+            entry["summary"],
+            verdict["status"],
+            verdict["analysis"],
+            verdict["loops"],
+            transforms,
         )
-        stats.fixpoints_run = fixpoint_run_count() - fixpoints_before
-        return stats
+    return reports

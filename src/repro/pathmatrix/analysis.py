@@ -153,9 +153,8 @@ class PathMatrixAnalysis:
         self.check_result = check_program(program)
         self.adds_types = program_adds_types(program)
         if summaries is not None:
-            # an injected, already-final table: the staged incremental engine
-            # resolves summaries itself (from cached artifacts where
-            # possible) and hands the finished table in
+            # an injected table: the staged engine fills it component by
+            # component, bottom-up, before analyzing any member
             self.summaries = summaries
         elif compute_summaries:
             self.summaries = {}

@@ -12,8 +12,7 @@ The headline guarantees:
 import pytest
 
 from repro.driver.batch import BatchDriver
-from repro.driver.cache import function_digests
-from repro.driver.callgraph import build_call_graph
+from repro.driver.cache import decode_entry
 from repro.driver.corpus import CorpusItem, corpus_named, paper_corpus
 from repro.driver.pipeline import PipelineOptions, simulate_program
 from repro.lang.parser import parse_program
@@ -75,15 +74,30 @@ class TestCaching:
         for item in paper_items:
             assert warm.program(item.name).simulation == cold.program(item.name).simulation
 
-    def _digests(self, src):
+    def test_warm_run_writes_nothing(self, tmp_path):
+        """Nothing changed, so nothing is rewritten — not even the
+        per-program manifests."""
+        items = corpus_named("builtin")
+        BatchDriver(jobs=1, cache_dir=tmp_path).analyze_corpus(items)
+        warm_driver = BatchDriver(jobs=1, cache_dir=tmp_path)
+        warm = warm_driver.analyze_corpus(items)
+        assert warm.analyses_executed == 0
+        assert warm_driver.cache.writes == 0
+
+    def _digests(self, src, store):
+        """Function -> the store key of its component, from a cold run of
+        ``src`` into the empty ``store``."""
         from repro.adds.library import standard_source
 
-        program = parse_program(standard_source("ListNode") + src)
-        return function_digests(
-            program,
-            build_call_graph(program),
-            PipelineOptions().key(),
+        source = standard_source("ListNode") + src
+        BatchDriver(jobs=1, cache_dir=store, simulate=False).analyze_corpus(
+            [CorpusItem(name="prog", source=source)]
         )
+        return {
+            name: path.stem
+            for path in (store / "summary").glob("*.json")
+            for name in decode_entry(path.read_text())["functions"]
+        }
 
     BASE = """
     function leaf(p) { return p->next; }
@@ -91,35 +105,24 @@ class TestCaching:
     function unrelated(q) { q->coef = 1; return q; }
     """
 
-    def test_summary_changing_edit_invalidates_the_caller(self):
+    def test_summary_changing_edit_invalidates_the_caller(self, tmp_path):
         edited = self.BASE.replace(
             "function leaf(p) { return p->next; }",
             "function leaf(p) { p->exp = 0; return p->next; }",
         )
-        before, after = self._digests(self.BASE), self._digests(edited)
+        before = self._digests(self.BASE, tmp_path / "before")
+        after = self._digests(edited, tmp_path / "after")
         assert before["leaf"] != after["leaf"]
-        assert before["caller"] != after["caller"]  # callee body changed
+        assert before["caller"] != after["caller"]  # callee summary changed
         assert before["unrelated"] == after["unrelated"]
 
-    def test_summary_preserving_edit_still_invalidates_callers(self):
-        """The *legacy* (parallel-path) keys are body-transitive: editing a
-        callee invalidates its callers even when the effect summary is
-        unchanged, because these keys carry no summary digest to firewall
-        on.  (The staged inline engine does better — see
-        tests/driver/test_incremental.py.)  Unrelated functions stay
-        cached."""
-        edited = self.BASE.replace("return p->next;", "return p->next->next;")
-        before, after = self._digests(self.BASE), self._digests(edited)
-        assert before["leaf"] != after["leaf"]  # its own AST changed
-        assert before["caller"] != after["caller"]  # callee body changed
-        assert before["unrelated"] == after["unrelated"]
-
-    def test_identical_text_at_different_lines_shares_keys(self):
+    def test_identical_text_at_different_lines_shares_keys(self, tmp_path):
         """Cached payloads are stored line-relative (absolute lines are
         restored at probe time), so the same helper pasted into two files at
-        different offsets shares one cache entry per function."""
+        different offsets shares one cache entry per component."""
         shifted = "\n\n\n\n" + self.BASE
-        before, after = self._digests(self.BASE), self._digests(shifted)
+        before = self._digests(self.BASE, tmp_path / "before")
+        after = self._digests(shifted, tmp_path / "after")
         assert before == after
 
     def test_options_partition_the_cache(self, tmp_path, paper_items):

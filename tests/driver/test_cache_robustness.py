@@ -87,12 +87,12 @@ class TestCorruptionRecovery:
         recovered = BatchDriver(jobs=1, cache_dir=tmp_path, simulate=False).analyze_corpus(items)
         assert {p.name: p.functions for p in recovered.programs} == clean
 
-    def test_corrupt_report_heals_from_stage_artifacts(self, tmp_path):
-        # losing only the assembled report does not cost a fixpoint: the
-        # engine reassembles it from the intact analysis artifact
+    def test_corrupt_manifest_costs_no_fixpoint(self, tmp_path):
+        # losing only the manifest (the dirty accounting) does not cost a
+        # fixpoint: the reports come from the intact component artifact
         _, items, seeded = self._seed(tmp_path)
         clean = {p.name: p.functions for p in seeded.programs}
-        for entry in (tmp_path / "report").glob("*.json"):
+        for entry in (tmp_path / "manifest").glob("*.json"):
             entry.write_text("garbage {{{")
         driver = BatchDriver(jobs=1, cache_dir=tmp_path, simulate=False)
         report = driver.analyze_corpus(items)

@@ -8,7 +8,10 @@ The acceptance property throughout: an incremental run's report is
 never change an answer, only skip work.
 """
 
+import multiprocessing
 from collections import OrderedDict
+
+import pytest
 
 from repro.driver.batch import BatchDriver
 from repro.driver.cache import LEDGER_NAME
@@ -146,17 +149,45 @@ function use()
         )
 
 
+class TestPooledIncremental:
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_summary_preserving_edit_under_the_pool(self, tmp_path, start_method):
+        """The pool runs the same component tasks as the inline path, so the
+        firewall holds there too: one recomputed function, callers served."""
+        if start_method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"{start_method} unavailable on this platform")
+
+        def run(source):
+            driver = BatchDriver(
+                jobs=2, cache_dir=tmp_path, simulate=False, start_method=start_method
+            )
+            return driver.analyze_corpus([CorpusItem(name="prog", source=source)])
+
+        assert run(BASE).incremental["recomputed"] == 3
+        edited = BASE.replace("function leaf(p)\n{ var s;",
+                              "function leaf(p)\n{ var s; var pad;")
+        warm = run(edited)
+        inc = warm.incremental
+
+        assert warm.analyses_executed == 1
+        assert inc["recomputed"] == 1
+        assert inc["dirty"] == 1
+        assert inc["fixpoints_run"] == 1
+        assert inc["reused"] == 2
+        assert inc["firewalled"] == 1
+        assert {p.name: p.functions for p in warm.programs} == _scratch(edited)
+
+
 class TestStoreLayout:
     def test_cold_run_writes_only_what_later_runs_read(self, tmp_path):
         _run(BASE, tmp_path)
         stages = sorted(p.name for p in tmp_path.iterdir() if p.is_dir())
-        assert stages == ["analysis", "manifest", "report", "summary"]
+        assert stages == ["manifest", "summary"]
         assert {p.name for p in tmp_path.iterdir() if p.is_file()} == {
             LEDGER_NAME
         }
-        # one analysis and one report artifact per function
-        assert len(list((tmp_path / "analysis").glob("*.json"))) == 3
-        assert len(list((tmp_path / "report").glob("*.json"))) == 3
+        # one artifact per call-graph component (each function is its own)
+        assert len(list((tmp_path / "summary").glob("*.json"))) == 3
 
     def test_adding_an_unrelated_function_resolves_no_old_fixpoint(self, tmp_path):
         _run(BASE, tmp_path)
@@ -179,8 +210,8 @@ function spare(m)
         assert inc["recomputed"] == 1  # spare itself, analyzed for the first time
         assert inc["fixpoints_run"] == 1  # ...and nothing else solved
         assert inc["summaries_reused"] == 3
-        assert driver.cache.stage_counters["report"]["misses"] == 4
-        assert driver.cache.stage_counters["analysis"]["hits"] == 3
+        assert driver.cache.stage_counters["summary"]["misses"] == 1
+        assert driver.cache.stage_counters["summary"]["hits"] == 3
         assert {p.name: p.functions for p in warm.programs} == _scratch(edited)
 
 
